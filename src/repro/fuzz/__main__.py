@@ -34,7 +34,7 @@ def _parse_checks(text: str):
 
 
 def _cmd_run(args) -> int:
-    from ..simlab.executor import run_specs
+    from ..simlab.executor import SimlabError, run_specs
     from ..simlab.spec import RunSpec
 
     shard_size = max(1, min(args.shard_size, args.n))
@@ -58,15 +58,17 @@ def _cmd_run(args) -> int:
 
     log = (lambda m: print(m, file=sys.stderr)) if args.verbose \
         else (lambda m: None)
-    results = run_specs(specs, workers=args.workers, cache=cache, log=log)
+    try:
+        results = run_specs(specs, workers=args.workers, cache=cache,
+                            log=log)
+    except SimlabError as exc:
+        # the message names the shard and the cause of its last failure
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
     divergences = []
     cases = 0
     for result in results:
-        if result is None:
-            print("error: a shard failed to produce a result",
-                  file=sys.stderr)
-            return 1
         cases += result["count"]
         divergences.extend(
             Divergence.from_dict(d) for d in result["divergences"])

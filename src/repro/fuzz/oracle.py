@@ -15,13 +15,18 @@ Three check families, each exercising a different seam of the stack:
 Any exception raised by a stage (compile error, simulator deadlock) is
 itself a divergence — those are precisely the crashes fuzzing exists to
 find.  Results are plain dicts so shards can ship them through simlab.
+
+The checks of one :func:`run_case` share an :class:`Artifacts` record,
+so each compile level is compiled once and the production-engine run of
+``arch:cycle`` stands in for the engine tier with the same
+configuration.  Every comparison still runs, on the same values.
 """
 
 from __future__ import annotations
 
 import traceback
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Union
 
 from .gen import GenConfig, generate
 
@@ -61,6 +66,58 @@ def _crash(program, stage, exc) -> Divergence:
     return Divergence(program, stage, f"raised: {tb}")
 
 
+def _unwrap(outcome):
+    """A kept outcome's value; a kept exception is raised again."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+class Artifacts:
+    """What the checks of one program compute once and then share.
+
+    A record lives for one :func:`run_case` call; a check called without
+    one builds its own.  Each compile level is compiled once, and
+    ``production`` keeps the outcome of ``arch:cycle``'s run: the hand
+    program on :data:`~repro.uarch.config.PROTOTYPE` with telemetry off.
+    An outcome is the value or the exception computing it raised, so a
+    failure reaches every stage that asks for it, with the same detail.
+    Nothing outlives the record: TIR programs are mutable.
+    """
+
+    def __init__(self, prog):
+        self.prog = prog
+        self._compiled: Dict[str, object] = {}
+        #: ProcStats dict (or exception) of the production-engine run
+        self.production: Union[dict, Exception, None] = None
+
+    def compiled(self, level: str):
+        """``compile_tir(prog, level)``, computed on first request."""
+        from ..compiler import compile_tir
+
+        if level not in self._compiled:
+            try:
+                self._compiled[level] = compile_tir(self.prog, level=level)
+            except Exception as exc:
+                self._compiled[level] = exc
+        return _unwrap(self._compiled[level])
+
+    def run_production(self):
+        """Run the hand program on the production engine, keep the
+        outcome in ``production`` and return the finished processor."""
+        from ..uarch.config import PROTOTYPE
+        from ..uarch.proc import TripsProcessor
+
+        program = self.compiled("hand").program
+        try:
+            proc = TripsProcessor(program, config=PROTOTYPE)
+            self.production = proc.run().to_dict()
+        except Exception as exc:
+            self.production = exc
+            raise
+        return proc
+
+
 # ----------------------------------------------------------------------
 # arch: architectural outputs vs the interpreter
 # ----------------------------------------------------------------------
@@ -87,13 +144,13 @@ def _baseline_outputs(prog):
     return tuple(parts)
 
 
-def check_arch(prog) -> List[Divergence]:
+def check_arch(prog, artifacts: Optional[Artifacts] = None) \
+        -> List[Divergence]:
     """Interpreter vs tcc/hand functional sims vs baseline vs cycle sim."""
-    from ..compiler import compile_tir
     from ..tir import interpret
     from ..uarch import FunctionalSim
-    from ..uarch.proc import TripsProcessor
 
+    artifacts = artifacts or Artifacts(prog)
     out: List[Divergence] = []
     golden = interpret(prog).output_signature(prog.outputs)
 
@@ -101,7 +158,7 @@ def check_arch(prog) -> List[Divergence]:
     for level in ("tcc", "hand"):
         stage = f"arch:{level}"
         try:
-            compiled[level] = compile_tir(prog, level=level)
+            compiled[level] = artifacts.compiled(level)
         except Exception as exc:
             out.append(_crash(prog.name, stage + ":compile", exc))
             continue
@@ -126,8 +183,7 @@ def check_arch(prog) -> List[Divergence]:
 
     if "hand" in compiled:
         try:
-            proc = TripsProcessor(compiled["hand"].program)
-            proc.run()
+            proc = artifacts.run_production()
             got = compiled["hand"].extract_outputs(proc.regs, proc.memory)
             if got != golden:
                 out.append(Divergence(prog.name, "arch:cycle",
@@ -155,17 +211,22 @@ def _stats_diff(a: dict, b: dict, prefix: str = "") -> List[str]:
     return diffs[:8]
 
 
-def check_engines(prog, nuca: bool = False,
-                  telemetry: bool = False) -> List[Divergence]:
-    """All three engine tiers must report identical ProcStats."""
-    from ..compiler import compile_tir
-    from ..uarch.config import TripsConfig
+def check_engines(prog, nuca: bool = False, telemetry: bool = False,
+                  artifacts: Optional[Artifacts] = None) -> List[Divergence]:
+    """All three engine tiers must report identical ProcStats.
+
+    A tier whose configuration equals the production engine's, with
+    telemetry off, takes ``arch:cycle``'s run from ``artifacts`` when
+    that check already ran it: the same deterministic simulation.
+    """
+    from ..uarch.config import PROTOTYPE, TripsConfig
     from ..uarch.proc import TripsProcessor
 
+    artifacts = artifacts or Artifacts(prog)
     suffix = ("+nuca" if nuca else "") + ("+telemetry" if telemetry else "")
     out: List[Divergence] = []
     try:
-        program = compile_tir(prog, level="hand").program
+        program = artifacts.compiled("hand").program
     except Exception as exc:
         return [_crash(prog.name, "engines:compile", exc)]
 
@@ -176,9 +237,13 @@ def check_engines(prog, nuca: bool = False,
         if nuca:
             config = config.with_overrides(perfect_l2=False)
         try:
-            proc = TripsProcessor(program, config=config,
-                                  telemetry=telemetry or None)
-            stats[tier] = proc.run().to_dict()
+            if artifacts.production is not None and not telemetry \
+                    and config == PROTOTYPE:
+                stats[tier] = _unwrap(artifacts.production)
+            else:
+                proc = TripsProcessor(program, config=config,
+                                      telemetry=telemetry or None)
+                stats[tier] = proc.run().to_dict()
         except Exception as exc:
             out.append(_crash(prog.name, stage, exc))
 
@@ -198,16 +263,17 @@ def check_engines(prog, nuca: bool = False,
 # ----------------------------------------------------------------------
 # asm: text round trip
 # ----------------------------------------------------------------------
-def check_asm(prog) -> List[Divergence]:
+def check_asm(prog, artifacts: Optional[Artifacts] = None) \
+        -> List[Divergence]:
     """disassemble → assemble must reproduce the exact memory image."""
     from ..asm import assemble, disassemble
-    from ..compiler import compile_tir
 
+    artifacts = artifacts or Artifacts(prog)
     out: List[Divergence] = []
     for level in ("tcc", "hand"):
         stage = f"asm:{level}"
         try:
-            original = compile_tir(prog, level=level).program
+            original = artifacts.compiled(level).program
             again = assemble(disassemble(original))
         except Exception as exc:
             out.append(_crash(prog.name, stage, exc))
@@ -233,14 +299,16 @@ def check_asm(prog) -> List[Divergence]:
 # ----------------------------------------------------------------------
 def run_case(prog, checks=ALL_CHECKS, nuca: bool = False,
              telemetry: bool = False) -> List[Divergence]:
-    """All requested checks on one program."""
+    """All requested checks on one program, sharing one artifact record."""
+    artifacts = Artifacts(prog)
     out: List[Divergence] = []
     if "arch" in checks:
-        out.extend(check_arch(prog))
+        out.extend(check_arch(prog, artifacts=artifacts))
     if "engines" in checks:
-        out.extend(check_engines(prog, nuca=nuca, telemetry=telemetry))
+        out.extend(check_engines(prog, nuca=nuca, telemetry=telemetry,
+                                 artifacts=artifacts))
     if "asm" in checks:
-        out.extend(check_asm(prog))
+        out.extend(check_asm(prog, artifacts=artifacts))
     return out
 
 

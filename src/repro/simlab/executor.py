@@ -15,7 +15,9 @@ Scheduling contract (the part the paper-reproduction sweeps rely on):
   resubmits the job once; a second failure raises :class:`SimlabError`.
   A timeout or crash replaces the whole pool (terminating any hung
   worker) and resubmits the jobs that had not finished — their results
-  are unaffected, only their wall-clock is.
+  are unaffected, only their wall-clock is.  A sweep that raises
+  terminates its pool; one that returns has waited for its workers and
+  the pool's threads to end.
 * **Observability, off by default.** With a
   :class:`~repro.metrics.events.FleetMetrics` passed as ``metrics=``,
   every lifecycle transition increments fleet counters and appends to
@@ -292,15 +294,20 @@ def _run_serial(specs: Sequence[RunSpec], pending: Sequence[int],
                 metrics, remaining=len(pending) - n - 1)
 
 
-def _replace_pool(pool: ProcessPoolExecutor,
-                  workers: int) -> ProcessPoolExecutor:
-    """Terminate a broken/hung pool and stand up a fresh one."""
+def _abandon_pool(pool: ProcessPoolExecutor) -> None:
+    """Terminate a pool's workers and shut it down without waiting."""
     for process in list(getattr(pool, "_processes", {}).values()):
         try:
             process.terminate()
         except OSError:
             pass
     pool.shutdown(wait=False, cancel_futures=True)
+
+
+def _replace_pool(pool: ProcessPoolExecutor,
+                  workers: int) -> ProcessPoolExecutor:
+    """Terminate a broken/hung pool and stand up a fresh one."""
+    _abandon_pool(pool)
     return ProcessPoolExecutor(max_workers=workers)
 
 
@@ -362,5 +369,10 @@ def _run_parallel(specs: Sequence[RunSpec], pending: List[int],
             _record(specs[i], envelope, results, i, cache, log, total,
                     metrics, remaining=len(pending) - position - 1)
             position += 1
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
+    except BaseException:
+        _abandon_pool(pool)
+        raise
+    # Every job is done: wait for the workers and the pool's threads to
+    # end, so nothing of this pool outlives the call (a pool forked
+    # beside a live one can inherit a lock no thread will release).
+    pool.shutdown(wait=True)

@@ -1,0 +1,129 @@
+"""The oracle computes each artifact once per program, and still compares.
+
+Within one :func:`run_case`, each compile level is compiled once and the
+``arch:cycle`` run stands in for the engine tier with the production
+configuration.  These tests count the calls, and inject faults to show
+that sharing changes neither which divergences are reported nor their
+details: a shared run returns exactly what the checks, each run alone
+on a fresh record (the unshared oracle), report.
+"""
+
+import pytest
+
+import repro.compiler
+from repro.fuzz.gen import generate
+from repro.fuzz.oracle import (check_arch, check_asm, check_engines,
+                               run_case)
+from repro.uarch.config import PROTOTYPE
+from repro.uarch.proc import TripsProcessor
+
+SEED = 1
+
+
+class Probe:
+    """Counts compile_tir and TripsProcessor.run calls; injects faults.
+
+    ``fail_level`` makes compiles at that level raise; ``production`` is
+    ``"crash"`` or ``"perturb"`` for every run of the production engine
+    (PROTOTYPE, telemetry off).
+    """
+
+    def __init__(self, monkeypatch):
+        self.compiles = []
+        self.runs = []
+        self.fail_level = None
+        self.production = None
+        real_compile = repro.compiler.compile_tir
+        real_run = TripsProcessor.run
+
+        def compile_tir(tir, level="tcc", *args, **kwargs):
+            self.compiles.append(level)
+            if level == self.fail_level:
+                raise RuntimeError(f"injected {level} compile failure")
+            return real_compile(tir, level, *args, **kwargs)
+
+        def run(proc, *args, **kwargs):
+            self.runs.append(proc.config)
+            production = proc.config == PROTOTYPE and proc.tel is None
+            if production and self.production == "crash":
+                raise RuntimeError("injected production-engine crash")
+            stats = real_run(proc, *args, **kwargs)
+            if production and self.production == "perturb":
+                stats.cycles += 1
+            return stats
+
+        monkeypatch.setattr(repro.compiler, "compile_tir", compile_tir)
+        monkeypatch.setattr(TripsProcessor, "run", run)
+
+
+@pytest.fixture
+def probe(monkeypatch):
+    return Probe(monkeypatch)
+
+
+def _unshared(prog, nuca=False, telemetry=False):
+    """The checks one by one, each building its own record."""
+    return (check_arch(prog)
+            + check_engines(prog, nuca=nuca, telemetry=telemetry)
+            + check_asm(prog))
+
+
+def _stages(divergences):
+    return [d.stage for d in divergences]
+
+
+def test_run_case_compiles_each_level_once_and_shares_the_run(probe):
+    assert run_case(generate(SEED)) == []
+    assert probe.compiles == ["tcc", "hand"]
+    # arch:cycle, then full-scan and active-set; wheel+express is shared
+    assert len(probe.runs) == 3
+
+
+@pytest.mark.parametrize("nuca,telemetry",
+                         [(False, True), (True, False), (True, True)])
+def test_telemetry_and_nuca_tiers_all_simulate(probe, nuca, telemetry):
+    assert run_case(generate(SEED), nuca=nuca, telemetry=telemetry) == []
+    assert probe.compiles == ["tcc", "hand"]
+    assert len(probe.runs) == 4
+
+
+def test_check_engines_alone_runs_every_tier(probe):
+    assert check_engines(generate(SEED)) == []
+    assert probe.compiles == ["hand"]
+    assert len(probe.runs) == 3
+    assert sum(config == PROTOTYPE for config in probe.runs) == 1
+
+
+def test_compile_failure_reaches_every_stage(probe):
+    prog = generate(SEED)
+    probe.fail_level = "hand"
+    shared = run_case(prog)
+    assert _stages(shared) == ["arch:hand:compile", "engines:compile",
+                               "asm:hand"]
+    assert {d.detail for d in shared} == {
+        "raised: RuntimeError: injected hand compile failure"}
+    assert probe.compiles == ["tcc", "hand"]
+    assert probe.runs == []
+    assert shared == _unshared(prog)
+
+
+def test_production_crash_reaches_arch_and_engines(probe):
+    prog = generate(SEED)
+    probe.production = "crash"
+    shared = run_case(prog)
+    assert _stages(shared) == ["arch:cycle", "engines:wheel+express"]
+    assert {d.detail for d in shared} == {
+        "raised: RuntimeError: injected production-engine crash"}
+    assert len(probe.runs) == 3
+    assert shared == _unshared(prog)
+
+
+def test_perturbed_production_stats_still_diverge(probe):
+    prog = generate(SEED)
+    probe.production = "perturb"
+    shared = run_case(prog)
+    assert _stages(shared) == ["engines:wheel+express"]
+    assert shared[0].detail.startswith(
+        "stats diverge from full-scan: cycles: ")
+    assert len(probe.runs) == 3
+    assert shared == _unshared(prog)

@@ -3,6 +3,9 @@ recovery.  Fault injection uses the ``selftest`` spec kind, which flips a
 flag file on its first attempt so the retry deterministically succeeds.
 """
 
+import multiprocessing
+import threading
+
 import pytest
 
 from repro.simlab import ResultCache, RunSpec, SimlabError, run_specs
@@ -31,6 +34,17 @@ class TestOrdering:
         assert resolve_workers(0) == 0
         assert resolve_workers(5) == 5
         assert resolve_workers(None) >= 1
+
+
+class TestTeardown:
+    def test_pool_has_ended_when_run_specs_returns(self):
+        # a worker or pool thread left running would share the cores with
+        # the caller's next call, and a pool forked beside it can hang
+        threads = set(threading.enumerate())
+        children = set(multiprocessing.active_children())
+        run_specs([RunSpec.selftest("ok")] * 2, workers=1)
+        assert set(multiprocessing.active_children()) <= children
+        assert set(threading.enumerate()) <= threads
 
 
 class TestCaching:
