@@ -68,9 +68,7 @@ class TripsChip:
         self.memory = BackingStore()
         self.sysmem = SecondaryMemory(
             SysMemConfig(mode=memory_mode, dram_cycles=config.dram_cycles,
-                         active_set=config.fast_path,
-                         express=config.fast_path
-                         and config.express_routing),
+                         active_set=config.fast_path),
             backing=self.memory)
         self.max_cycles = max_cycles
 

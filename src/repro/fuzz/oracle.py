@@ -5,8 +5,8 @@ Three check families, each exercising a different seam of the stack:
 * ``arch`` — architectural outputs.  The TIR interpreter is golden; the
   block-atomic functional simulator (both compile levels), the SRISC/OOO
   baseline, and the cycle-level TRIPS simulator must match it bit for bit.
-* ``engines`` — ProcStats equivalence.  The three cycle-engine tiers
-  (full-scan, active-set, wheel+express) must produce byte-identical
+* ``engines`` — ProcStats equivalence.  The two cycle engines (the
+  full-scan oracle and the fast engine) must produce byte-identical
   statistics, optionally with telemetry enabled and/or the NUCA memory
   system (``perfect_l2=False``).
 * ``asm`` — the assembler↔disassembler text round trip must reproduce
@@ -33,13 +33,10 @@ from .gen import GenConfig, generate
 #: check families in canonical order.
 ALL_CHECKS = ("arch", "engines", "asm")
 
-#: the three cycle-engine tiers under test (overrides on TripsConfig).
+#: the two cycle-engine tiers under test (overrides on TripsConfig).
 ENGINE_TIERS = {
     "full-scan": {"fast_path": False},
-    "active-set": {"fast_path": True, "express_routing": False,
-                   "event_wheel": False},
-    "wheel+express": {"fast_path": True, "express_routing": True,
-                      "event_wheel": True},
+    "fast": {"fast_path": True},
 }
 
 
@@ -48,7 +45,7 @@ class Divergence:
     """One disagreement between two execution paths."""
 
     program: str          # program name (``fuzz_<seed>`` or corpus name)
-    stage: str            # e.g. "arch:hand", "engines:active-set+nuca"
+    stage: str            # e.g. "arch:hand", "engines:fast+nuca"
     detail: str           # human-readable description
 
     def to_dict(self) -> Dict[str, str]:
@@ -194,7 +191,7 @@ def check_arch(prog, artifacts: Optional[Artifacts] = None) \
 
 
 # ----------------------------------------------------------------------
-# engines: ProcStats across the three cycle-engine tiers
+# engines: ProcStats across the two cycle-engine tiers
 # ----------------------------------------------------------------------
 def _stats_diff(a: dict, b: dict, prefix: str = "") -> List[str]:
     """Paths where two stats dicts disagree (bounded, deterministic)."""
@@ -213,7 +210,7 @@ def _stats_diff(a: dict, b: dict, prefix: str = "") -> List[str]:
 
 def check_engines(prog, nuca: bool = False, telemetry: bool = False,
                   artifacts: Optional[Artifacts] = None) -> List[Divergence]:
-    """All three engine tiers must report identical ProcStats.
+    """Both engine tiers must report identical ProcStats.
 
     A tier whose configuration equals the production engine's, with
     telemetry off, takes ``arch:cycle``'s run from ``artifacts`` when
@@ -247,16 +244,12 @@ def check_engines(prog, nuca: bool = False, telemetry: bool = False,
         except Exception as exc:
             out.append(_crash(prog.name, stage, exc))
 
-    if "full-scan" in stats:
-        ref = stats["full-scan"]
-        for tier in ("active-set", "wheel+express"):
-            if tier not in stats:
-                continue
-            diffs = _stats_diff(ref, stats[tier])
-            if diffs:
-                out.append(Divergence(
-                    prog.name, f"engines:{tier}{suffix}",
-                    "stats diverge from full-scan: " + "; ".join(diffs)))
+    if "full-scan" in stats and "fast" in stats:
+        diffs = _stats_diff(stats["full-scan"], stats["fast"])
+        if diffs:
+            out.append(Divergence(
+                prog.name, f"engines:fast{suffix}",
+                "stats diverge from full-scan: " + "; ".join(diffs)))
     return out
 
 

@@ -44,12 +44,6 @@ class SysMemConfig:
     #: False selects the full-scan OCN router loop (escape hatch, mirrors
     #: :attr:`repro.uarch.config.TripsConfig.fast_path`)
     active_set: bool = True
-    #: express OCN routing: conflict-free packets are delivered at their
-    #: computed arrival time via link reservations instead of hop-by-hop
-    #: stepping (mirrors
-    #: :attr:`repro.uarch.config.TripsConfig.express_routing`; only active
-    #: together with ``active_set``)
-    express: bool = True
 
 
 @dataclass
@@ -77,9 +71,7 @@ class SecondaryMemory:
         self.backing = backing if backing is not None else BackingStore()
         self.ocn = WormholeMesh(ROWS, COLS, vcs=self.config.vcs,
                                 queue_depth=2,
-                                active_set=self.config.active_set,
-                                express=self.config.express
-                                and self.config.active_set)
+                                active_set=self.config.active_set)
         # 16 MTs in the two middle columns
         self.mt_coords = [(r, c) for c in (1, 2) for r in range(8)]
         self.mts = [MemoryTile(i, self.config.mt) for i in range(16)]
@@ -164,23 +156,16 @@ class SecondaryMemory:
         """Earliest cycle >= ``self.cycle`` with memory-system activity.
 
         ``self.cycle`` while any packet is parked, queued in an OCN
-        router, or a response awaits pickup; otherwise the earliest of
-        the next express-packet arrival and the next bank/DRAM
+        router, or a response awaits pickup; otherwise the next bank/DRAM
         completion; None when fully drained.  Lets a quiescent processor
         fast-forward straight to the next memory event instead of
         stepping an empty OCN.
         """
-        if self._parked or self._resp_count:
+        if self._parked or self._resp_count or not self.ocn.is_idle():
             return self.cycle
-        times = []
-        ocn_t = self.ocn.next_event_t()
-        if ocn_t is not None:
-            if ocn_t <= self.cycle:
-                return self.cycle
-            times.append(ocn_t)
         if self._pending_dram:
-            times.append(self._pending_dram[0][0])
-        return min(times) if times else None
+            return self._pending_dram[0][0]
+        return None
 
     def fast_forward(self, cycle: int) -> None:
         """Advance the clock over a provably-idle stretch (no stepping)."""
@@ -267,7 +252,3 @@ class SecondaryMemory:
         lines = -(-nbytes // LINE_BYTES)
         per_line = 2 * (DATA_FLITS + 1) + 2 * self.config.mt.bank_latency
         return self.cycle + lines * per_line
-
-    def run_idle(self, cycles: int) -> None:
-        for _ in range(cycles):
-            self.step()

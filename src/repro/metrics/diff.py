@@ -11,7 +11,8 @@ Spec grammar (everything but the workload is optional)::
 
     qr@hand/nuca              qr, hand-optimized code, NUCA memory
     sha@tcc                   sha, tcc code, perfect L2 (the default)
-    vadd@hand-express_routing vadd with express routing disabled
+    vadd@hand-fast_path       vadd on the full-scan engine (the control
+                              pair with ``vadd@hand``: it attributes 0)
 
 ``level`` is ``hand``/``tcc``; ``mem`` is ``l2perfect``/``nuca``
 (mapping to ``TripsConfig.perfect_l2``); ``+flag``/``-flag`` toggles

@@ -349,7 +349,7 @@ class TelemetryRecorder:
             return
         for tile, tl in self._tile_runs:
             tile.tel_account(tl, t0, t1)
-        self._gt_tl.add(IDLE, t0, t1)
+        self.proc.tel_gt_account(self._gt_tl, t0, t1)
 
     # -- block lifecycle -------------------------------------------------
     def block_fetched(self, uid: int, addr: int, seq: int, frame: int,

@@ -83,30 +83,15 @@ class TripsConfig:
 
     # --- simulation --------------------------------------------------------------
     max_cycles: int = 30_000_000
-    #: fast-path cycle engine: when the OPN is empty, every tile reports
-    #: quiescent and no timed event is due, :meth:`TripsProcessor.run`
-    #: advances the cycle counter directly to the next scheduled work
-    #: instead of spinning one no-op cycle at a time.  Cycle-for-cycle
-    #: identical stats either way (tests/uarch/test_fast_path.py); False
-    #: is the escape hatch that forces the original step-every-cycle loop.
+    #: fast-path cycle engine: routers and tiles are visited only while
+    #: they have work, and whenever the OPN is empty
+    #: :meth:`TripsProcessor.run` advances the cycle counter straight to
+    #: the earliest per-component wakeup (timed event, prediction
+    #: latency, deferred load, bank or DRAM completion) instead of
+    #: spinning one no-op cycle at a time.  Cycle-for-cycle identical
+    #: stats either way (tests/uarch/test_fast_path.py); False is the
+    #: full-scan oracle that steps every router and tile every cycle.
     fast_path: bool = True
-
-    #: Express micronet routing: when a packet's full deterministic Y-X
-    #: path is conflict-free, deliver it at its computed arrival time via
-    #: a per-link reservation table instead of simulating every hop
-    #: (``uarch/mesh.py``; falls back to hop-by-hop on any window
-    #: conflict).  Cycle-for-cycle identical either way
-    #: (tests/uarch/test_mesh_express.py); only active under
-    #: ``fast_path``.
-    express_routing: bool = True
-
-    #: Event-wheel scheduling: advance the chip straight to the earliest
-    #: per-component wakeup (tile, router, LSQ, bank, DRAM) instead of
-    #: requiring full quiescence before a jump.  Composes with express
-    #: routing (in-flight reserved packets are timed events, not per-cycle
-    #: work).  Identical stats either way; only active under
-    #: ``fast_path``.
-    event_wheel: bool = True
 
     def with_overrides(self, **kwargs) -> "TripsConfig":
         """A copy with some fields replaced (ablation helper)."""

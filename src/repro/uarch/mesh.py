@@ -25,33 +25,10 @@ order, which is exactly the order the full scan used, and quiescent
 routers contribute nothing to a scan by construction.
 ``tests/uarch/test_mesh_reference.py`` checks this against a full-scan
 reference model under randomized traffic.
-
-Express routing: dimension-order routing is deterministic, so a packet
-injected into an otherwise-empty mesh wins every arbitration it meets and
-its whole itinerary — which link it holds at which cycle, and when it
-ejects — is known at injection time.  When ``express=True`` and no packet
-is queued in any FIFO, :meth:`inject` therefore *schedules* the packet
-instead of simulating it: it computes the grant sequence the hop-by-hop
-engine would execute, checks every (node, out port, lane) window against
-a time-indexed reservation table (plus the scalar busy-until residue of
-past traffic), and on success records the reservations and queues the
-delivery for its computed arrival cycle.  Any window conflict falls back
-to the exact engine: every in-flight express packet is *materialized*
-into the FIFO position it would occupy at that instant (executed grants
-folded into the busy-until/round-robin state, unexecuted reservations
-discarded) and normal wormhole arbitration takes over until the mesh
-drains.  Because an accepted express schedule is precisely the grant
-trace the deterministic arbiter would produce, delivery cycles, ordering,
-stats and router state are cycle-for-cycle identical either way
-(``tests/uarch/test_mesh_express.py``).  Express requires FIFO depth >= 2
-(so a fluent single-packet chain can never be backpressured) and turns
-itself off while a telemetry sink is attached (per-hop probes need real
-hops).
 """
 
 from __future__ import annotations
 
-import heapq
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set, Tuple
@@ -100,26 +77,6 @@ class _Port:
     def has_space(self, vc: int) -> bool:
         return len(self.queues[vc]) < self.depth
 
-    def push(self, packet: Packet) -> None:
-        self.queues[packet.vc].append(packet)
-
-
-class _Flight:
-    """One express-routed packet in flight: its reserved grant schedule."""
-
-    __slots__ = ("seq", "packet", "src", "vc", "start", "grants", "hops",
-                 "arrival")
-
-    def __init__(self, seq, packet, src, vc, start, grants, hops, arrival):
-        self.seq = seq
-        self.packet = packet
-        self.src = src
-        self.vc = vc
-        self.start = start          # cycle the packet leaves the LOCAL FIFO
-        self.grants = grants        # [(node, out port, grant cycle, lane)]
-        self.hops = hops
-        self.arrival = arrival      # delivery cycle at the destination
-
 
 # port indices
 _LOCAL, _NORTH, _SOUTH, _EAST, _WEST = range(5)
@@ -143,8 +100,7 @@ class WormholeMesh:
 
     def __init__(self, rows: int, cols: int, vcs: int = 1,
                  queue_depth: int = 2, lanes: int = 1,
-                 route_order: str = "row_first", active_set: bool = True,
-                 express: bool = False):
+                 route_order: str = "row_first", active_set: bool = True):
         if route_order not in ("row_first", "col_first"):
             raise ValueError(f"bad route order {route_order!r}")
         self.rows = rows
@@ -211,50 +167,10 @@ class WormholeMesh:
         self.stats = MeshStats()
         #: optional :class:`repro.telemetry.recorder.MeshTelemetry` sink
         self.telemetry = None
-        # -- express routing (see module docstring) --------------------
-        #: depth >= 2 guarantees an uncontended chain is never blocked by
-        #: a FIFO holding another express packet for its one-cycle stay
-        self._express = express and queue_depth >= 2
-        self._x_seq = 0
-        #: seq -> _Flight, every scheduled-but-not-yet-delivered packet
-        self._x_flights: Dict[int, _Flight] = {}
-        #: (node, out port, lane) -> [(grant, grant+flits, flight seq)]
-        self._x_res: Dict[Tuple[Coord, int, int],
-                          List[Tuple[int, int, int]]] = {}
-        #: delivery calendar: (arrival, penultimate row, col, flight seq);
-        #: the penultimate node orders same-cycle same-dest deliveries the
-        #: way the hop-by-hop move loop (row-major router visits) would
-        self._x_arrivals: List[Tuple[int, int, int, int]] = []
-        #: (node, vc) -> start cycle of the last express packet injected
-        #: there (LOCAL FIFO ordering: one departure per cycle per queue)
-        self._x_last: Dict[Tuple[Coord, int], int] = {}
-        #: (src, dest) -> ((node, out port), ...) — the static Y-X path,
-        #: built lazily; deterministic routing makes it reusable
-        self._x_paths: Dict[Tuple[Coord, Coord],
-                            Tuple[Tuple[Coord, int], ...]] = {}
-        #: single-lane fast scheme: scheduled windows are folded into the
-        #: ``_busy`` scalars (and round-robin pointers) eagerly — at
-        #: schedule time, not delivery — and this map keeps each touched
-        #: link's pre-schedule ``(busy, rr)`` pair so :meth:`_materialize`
-        #: can rewind to executed-grants-only state.  A packet wanting a
-        #: window *before* an already-scheduled one then looks blocked and
-        #: falls back — a precision/speed trade that stays exact because
-        #: the fallback path is exact.
-        self._x_base: Dict[Tuple[Coord, int], Tuple[int, int]] = {}
-        #: delivered-but-not-yet-folded flights: their windows live only
-        #: in the eager scalars, so a materialization replays them after
-        #: the rewind.  Cleared whenever the last flight lands (the eager
-        #: scalars are then exactly the executed truth).
-        self._x_done: List[_Flight] = []
 
     # ------------------------------------------------------------------
     def inject(self, node: Coord, packet: Packet) -> bool:
         """Offer a packet to ``node``'s local input; False if it is full."""
-        if self._express and not self._active and self.telemetry is None:
-            return self._inject_express(node, packet)
-        return self._inject_queued(node, packet)
-
-    def _inject_queued(self, node: Coord, packet: Packet) -> bool:
         port = self.ports[node][_LOCAL]
         if not port.has_space(packet.vc):
             self.stats.inject_stalls += 1
@@ -280,317 +196,18 @@ class WormholeMesh:
         return out
 
     def is_idle(self) -> bool:
-        """True when no packet is queued, in flight or awaiting pickup.
+        """True when no packet is queued or awaiting pickup.
 
         An idle mesh's ``step()`` is a pure cycle-count increment, which is
         what lets the processor fast-forward over quiescent stretches
         (busy output lanes only ever gate *queued* packets, so they carry
         no future effect once the mesh drains).
         """
-        return not self._active and not self.delivery_pending \
-            and not self._x_flights
-
-    def quiet(self) -> bool:
-        """No queued packet and nothing awaiting pickup (express packets
-        may still be in flight — their arrivals are timed events, not
-        per-cycle work)."""
         return not self._active and not self.delivery_pending
 
-    def next_event_t(self) -> Optional[int]:
-        """Earliest cycle at which this mesh does or delivers anything.
-
-        ``cycle_count`` while any router holds a queued packet or a
-        delivery awaits pickup, the earliest express arrival when packets
-        are only in reserved flight, None when fully drained.  The
-        event-wheel scheduler advances straight to this cycle."""
-        if self._active or self.delivery_pending:
-            return self.cycle_count
-        if self._x_arrivals:
-            return self._x_arrivals[0][0]
-        return None
-
     def fast_forward(self, cycle: int) -> None:
-        """Advance the clock over a stretch with no queued packets,
-        releasing any express arrivals that fall due on the way."""
+        """Advance the clock over a stretch with no queued packets."""
         self.cycle_count = cycle
-        if self._x_arrivals:
-            self._flush_express(cycle)
-
-    # ------------------------------------------------------------------
-    # express routing
-    # ------------------------------------------------------------------
-    def _inject_express(self, node: Coord, packet: Packet) -> bool:
-        now = self.cycle_count
-        vc = packet.vc
-        key = (node, vc)
-        # One departure per LOCAL queue per cycle (head-of-line order),
-        # and the FIFO occupancy check: pending express starts for this
-        # queue are the contiguous run [now, last] (a gap would need an
-        # inject at a cycle past its predecessor's start, which resets the
-        # run), so the scan over flights collapses to arithmetic.
-        start = now
-        prev = self._x_last.get(key, -1)
-        if prev >= start:
-            if prev - now + 1 >= self._depth:
-                self.stats.inject_stalls += 1
-                return False
-            start = prev + 1
-        # the grant sequence the hop-by-hop engine would execute: link k
-        # of the static Y-X path is granted at cycle start+k (a d=0
-        # packet takes one LOCAL eject grant instead)
-        dest = packet.dest
-        flits = packet.flits
-        res = self._x_res
-        busy_map = self._busy
-        chosen: List[Tuple[Coord, int, int, int]] = []
-        if node == dest:
-            path = ((node, _LOCAL),)
-            penult = node
-        else:
-            path = self._x_paths.get((node, dest))
-            if path is None:
-                route = self._route
-                hop = self._hop
-                steps = []
-                cur = node
-                while cur != dest:
-                    out = route[cur][dest]
-                    steps.append((cur, out))
-                    cur = hop[cur][out][0]
-                path = self._x_paths[(node, dest)] = tuple(steps)
-            penult = path[-1][0]
-        # window check: every grant must win its arbitration outright.
-        # The lane the arbiter would pick is the first lane free at g as
-        # seen through past grants only (scalar residue + reservations
-        # covering g — future reservations have not happened yet at g);
-        # a same-cycle reservation on any lane of the port, or any
-        # reservation inside our serialization window on the chosen lane,
-        # would perturb real arbitration, so it falls back.
-        if self.lanes == 1:
-            # eager-scalar scheme: the busy scalar already carries every
-            # scheduled window, so one compare per hop decides, fused
-            # with the commit (a mid-path conflict falls back, and the
-            # materialization's rewind erases the partial writes); each
-            # link's pre-schedule (busy, rr) pair is saved for that rewind
-            base = self._x_base
-            rr_map = self._rr
-            g = start
-            end = start + flits
-            for cur, out in path:
-                cell = busy_map[cur][out]
-                if cell[0] > g:
-                    return self._express_fallback(node, packet)
-                bkey = (cur, out)
-                if bkey not in base:
-                    base[bkey] = (cell[0], rr_map[cur][out])
-                cell[0] = end
-                rr_map[cur][out] = 0
-                g += 1
-                end += 1
-        else:
-            nlanes = self.lanes
-            g = start
-            for cur, out in path:
-                node_busy = busy_map[cur][out]
-                lane_found = -1
-                for lane in range(nlanes):
-                    if node_busy[lane] > g:
-                        continue
-                    covered = False
-                    for g2, end2, _s in res.get((cur, out, lane), ()):
-                        if g2 <= g < end2:
-                            covered = True
-                            break
-                    if not covered:
-                        lane_found = lane
-                        break
-                if lane_found < 0:
-                    return self._express_fallback(node, packet)
-                g_end = g + flits
-                for lane in range(nlanes):
-                    for g2, _end2, _s in res.get((cur, out, lane), ()):
-                        if g2 == g or (lane == lane_found
-                                       and g < g2 < g_end):
-                            return self._express_fallback(node, packet)
-                chosen.append((cur, out, g, lane_found))
-                g += 1
-        # commit the schedule
-        packet.injected = now
-        if packet.created < 0:
-            packet.created = now
-        self.stats.injected += 1
-        self._x_last[key] = start
-        self._x_seq += 1
-        seq = self._x_seq
-        if node == dest:
-            hops, arrival = 0, start + 1
-        else:
-            hops = len(path)
-            arrival = start + hops
-        # scalar mode stores the bare path in the grants slot (grant k is
-        # derivably at cycle start+k, lane 0); the generic mode stores
-        # explicit (node, out, grant, lane) tuples plus reservation-list
-        # entries for the lane-aware conflict checks
-        if self.lanes == 1:
-            self._x_flights[seq] = _Flight(seq, packet, node, vc, start,
-                                           path, hops, arrival)
-        else:
-            self._x_flights[seq] = _Flight(seq, packet, node, vc, start,
-                                           chosen, hops, arrival)
-            for cur, out, g, lane in chosen:
-                res.setdefault((cur, out, lane), []).append(
-                    (g, g + flits, seq))
-        heapq.heappush(self._x_arrivals,
-                       (arrival, penult[0], penult[1], seq))
-        return True
-
-    def _express_fallback(self, node: Coord, packet: Packet) -> bool:
-        """A window conflict: reconstruct the exact engine's state and
-        inject the packet through the normal FIFO path."""
-        self._materialize(self.cycle_count)
-        return self._inject_queued(node, packet)
-
-    def _materialize(self, tau: int) -> None:
-        """Convert every in-flight express packet into the FIFO position
-        it would occupy at cycle ``tau`` under hop-by-hop simulation.
-
-        Grants already executed (cycle < tau) become busy-until residue,
-        round-robin resets and link-busy stats — exactly the state the
-        hop-by-hop arbiter would have left.  Unexecuted reservations are
-        discarded: those grants will now be re-arbitrated for real.
-        """
-        flights = sorted(self._x_flights.values(),
-                         key=lambda fl: (fl.start, fl.seq))
-        busy_map = self._busy
-        rr_map = self._rr
-        hop = self._hop
-        ports = self.ports
-        occupancy = self._occupancy
-        active = self._active
-        stats = self.stats
-        scalar = self.lanes == 1
-        if scalar:
-            # rewind the eagerly-folded state to each link's pre-schedule
-            # (busy, rr) pair, then re-apply the delivered flights and the
-            # executed prefixes below, leaving exactly the hop-by-hop
-            # engine's scalars
-            for (cur, out), (b, r) in self._x_base.items():
-                busy_map[cur][out][0] = b
-                rr_map[cur][out] = r
-            self._x_base.clear()
-            for flight in self._x_done:
-                flits = flight.packet.flits
-                g = flight.start
-                for cur, out in flight.grants:
-                    end = g + flits
-                    cell = busy_map[cur][out]
-                    if cell[0] < end:
-                        cell[0] = end
-                    rr_map[cur][out] = 0
-                    g += 1
-                # link-busy stats were already counted at delivery
-            self._x_done.clear()
-        for flight in flights:
-            packet = flight.packet
-            flits = packet.flits
-            grants = flight.grants
-            done = tau - flight.start
-            if done < 0 or flight.hops == 0:
-                done = 0            # still (or forever) in the LOCAL FIFO
-            elif done > len(grants):
-                done = len(grants)
-            if scalar:
-                g = flight.start
-                for cur, out in grants[:done]:
-                    end = g + flits
-                    cell = busy_map[cur][out]
-                    if cell[0] < end:
-                        cell[0] = end
-                    rr_map[cur][out] = 0   # a lone grant resets round-robin
-                    stats.link_busy_cycles += flits
-                    g += 1
-            else:
-                for cur, out, _g, lane in grants[:done]:
-                    end = _g + flits
-                    lanes_busy = busy_map[cur][out]
-                    if lanes_busy[lane] < end:
-                        lanes_busy[lane] = end
-                    rr_map[cur][out] = 0
-                    stats.link_busy_cycles += flits
-            packet.hops = done
-            packet.delivered = -1
-            packet.qcycles = -1
-            if done == 0:
-                entry_node, entry_port = flight.src, _LOCAL
-            elif scalar:
-                cur, out = grants[done - 1]
-                entry_node = hop[cur][out][0]
-                entry_port = _ENTRY[out]
-            else:
-                cur, out, _g, _lane = grants[done - 1]
-                entry_node = hop[cur][out][0]
-                entry_port = _ENTRY[out]
-            ports[entry_node][entry_port].queues[flight.vc].append(packet)
-            occupancy[entry_node] += 1
-            active.add(entry_node)
-        self._x_flights.clear()
-        self._x_res.clear()
-        self._x_arrivals.clear()
-
-    def _flush_express(self, upto: int) -> None:
-        """Deliver every express arrival due at or before ``upto``,
-        folding its executed reservations into the scalar router state."""
-        arrivals = self._x_arrivals
-        flights = self._x_flights
-        busy_map = self._busy
-        rr_map = self._rr
-        res = self._x_res
-        stats = self.stats
-        delivery = self._delivery
-        pending = self.delivery_pending
-        scalar = self.lanes == 1
-        done = self._x_done
-        while arrivals and arrivals[0][0] <= upto:
-            arrival, _pr, _pc, seq = heapq.heappop(arrivals)
-            flight = flights.pop(seq)
-            packet = flight.packet
-            flits = packet.flits
-            if scalar:
-                # the busy/rr scalars already carry these windows (folded
-                # at schedule time); log the flight so a later
-                # materialization can replay them after its rewind.  No
-                # per-hop work here — a delivery is pure arithmetic.
-                done.append(flight)
-                stats.link_busy_cycles += flits * (flight.hops or 1)
-            else:
-                for cur, out, g, lane in flight.grants:
-                    end = g + flits
-                    lanes_busy = busy_map[cur][out]
-                    if lanes_busy[lane] < end:
-                        lanes_busy[lane] = end
-                    rr_map[cur][out] = 0
-                    stats.link_busy_cycles += flits
-                    key = (cur, out, lane)
-                    entries = res[key]
-                    entries.remove((g, end, flight.seq))
-                    if not entries:
-                        del res[key]
-            packet.delivered = arrival
-            packet.hops = flight.hops
-            qc = arrival - packet.injected - packet.min_latency
-            packet.qcycles = qc if qc > 0 else 0
-            dest = packet.dest
-            delivery[dest].append(packet)
-            pending.add(dest)
-            stats.delivered += 1
-            stats.total_hops += flight.hops
-            stats.total_queue_cycles += packet.qcycles
-        if scalar and not flights:
-            # nothing left in flight: every eagerly-folded window has
-            # executed, so the scalars are exact and the rewind/replay
-            # logs can be dropped
-            self._x_base.clear()
-            done.clear()
 
     # ------------------------------------------------------------------
     def _next_hop(self, at: Coord, dest: Coord) -> int:
@@ -613,20 +230,10 @@ class WormholeMesh:
         return {(_NORTH): (row - 1, col), _SOUTH: (row + 1, col),
                 _EAST: (row, col + 1), _WEST: (row, col - 1)}[out_port]
 
-    @staticmethod
-    def _entry_port(out_port: int) -> int:
-        """Which input port of the neighbour a move through ``out_port`` fills."""
-        return _ENTRY[out_port]
-
     # ------------------------------------------------------------------
     def step(self) -> None:
         """Advance the network one cycle (active routers only)."""
         now = self.cycle_count
-        if self._x_arrivals:
-            # express arrivals due by the end of this cycle become
-            # deliveries, exactly when hop-by-hop simulation would post
-            # them (delivered = grant cycle + 1)
-            self._flush_express(now + 1)
         active = self._active
         if self.active_set:
             if not active:

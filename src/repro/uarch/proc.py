@@ -220,12 +220,9 @@ class TripsProcessor:
             self.regs[reg] = value & (2**64 - 1)
 
         self._fast = config.fast_path
-        self._wheel = config.fast_path and config.event_wheel
         self.opn = WormholeMesh(5, 5, queue_depth=config.opn_router_depth,
                                 lanes=config.opn_links_per_hop,
-                                active_set=config.fast_path,
-                                express=config.fast_path
-                                and config.express_routing)
+                                active_set=config.fast_path)
         # detailed NUCA secondary memory (only stepped when L2 is modelled)
         self.sysmem_port_base = sysmem_port_base
         self._owns_sysmem = sysmem is None
@@ -237,9 +234,7 @@ class TripsProcessor:
             from ..mem.sysmem import SecondaryMemory, SysMemConfig
             self.sysmem = SecondaryMemory(
                 SysMemConfig(dram_cycles=config.dram_cycles,
-                             active_set=config.fast_path,
-                             express=config.fast_path
-                             and config.express_routing),
+                             active_set=config.fast_path),
                 backing=self.memory)
         self.ets = [ExecTile(self, i) for i in range(16)]
         self.rts = [RegTile(self, b) for b in range(4)]
@@ -370,15 +365,13 @@ class TripsProcessor:
             self.step()
             # cheap pre-gate: with operands in router queues the core can
             # never be quiescent, so skip the full next_work_t() scan.
-            # Under the event wheel an express packet in reserved flight
-            # is a timed event, not per-cycle work, so only queued
-            # packets and pending pickups block the jump.
-            if fast and not self.halted:
-                if self._wheel:
-                    if self.opn.quiet():
-                        self._try_fast_forward()
-                elif self.opn.is_idle():
-                    self._try_fast_forward()
+            # Once the commit count is reached the call returns after this
+            # step, as the full-scan engine does: a skip here would run
+            # ahead into cycles the next call should start from.
+            if fast and not self.halted and self.opn.is_idle() and (
+                    until_blocks is None
+                    or self.stats.blocks_committed < until_blocks):
+                self._try_fast_forward()
         return self.finalize_stats()
 
     # ------------------------------------------------------------------
@@ -397,38 +390,27 @@ class TripsProcessor:
         no-op for all tiles, both networks and the GT.
         """
         t = self.cycle
-        wheel = self._wheel
-        if wheel:
-            # per-component calendar: express packets in reserved flight
-            # wake the mesh at their arrival cycle, deferred loads at the
-            # cycle their gating stores are all within DSN reach
-            opn_t = self.opn.next_event_t()
-            if opn_t is not None and opn_t <= t:
-                return t
-        else:
-            opn_t = None
-            if not self.opn.is_idle():
-                return t
+        if not self.opn.is_idle():
+            return t
+        # Issuable instructions, queued register reads and unsent packets
+        # are per-cycle work.  Stations still missing operands and reads
+        # waiting on an in-flight write are not: they wake only on an OPN
+        # delivery or a timed event, and neither happens inside a skip.
         for et in self.ets:
-            if et.candidates or et.outbox:       # inlined is_idle()
+            if et.candidates or et.outbox:
                 return t
         for rt in self.rts:
-            if rt.read_requests or rt.outbox:    # inlined is_idle()
+            if rt.read_requests or rt.outbox:
                 return t
         times = []
-        if opn_t is not None:
-            times.append(opn_t)
-        if wheel:
-            for dt in self.dts:
-                work = dt.next_work_t(t)
-                if work is not None:
-                    if work <= t:
-                        return t
-                    times.append(work)
-        else:
-            for dt in self.dts:
-                if dt.requests or dt.deferred or dt.outbox:  # is_idle()
+        # deferred loads wake at the cycle their gating stores are all
+        # within DSN reach
+        for dt in self.dts:
+            work = dt.next_work_t(t)
+            if work is not None:
+                if work <= t:
                     return t
+                times.append(work)
         if self._ev_times:
             times.append(self._ev_times[0])
         gt = self._gt_next_work_t(t)
@@ -632,6 +614,24 @@ class TripsProcessor:
         if self._tel_gdn_blocked_t == t:
             return _tel.GDN_BACKLOG
         return _tel.IDLE
+
+    def tel_gt_account(self, timeline, t0: int, t1: int) -> None:
+        """Charge a fast-forwarded stretch ``[t0, t1)`` to the GT.
+
+        Nothing is fetched or committed inside a skip, and neither input
+        of :meth:`_try_fetch`'s GDN-backlog gate (a free frame, the cycle
+        the dispatch pipe frees) can change, so the GT sits in
+        ``gdn_backlog`` until the pipe is within prediction reach, exactly
+        as stepping would mark it, and is idle after.
+        """
+        mid = t0
+        if self.free_frames:
+            mid = max(t0, min(t1, self.dispatch_pipe_free
+                              - self.config.predict_cycles - 2))
+        if mid > t0:
+            timeline.add(_tel.GDN_BACKLOG, t0, mid)
+        if mid < t1:
+            timeline.add(_tel.IDLE, mid, t1)
 
     def _next_fetch_target(self, t: int) -> Optional[Tuple[int, Tuple]]:
         """(address, trace-cause) of the next block to fetch, if known.
@@ -1089,7 +1089,7 @@ class TripsProcessor:
         """Earliest cycle :meth:`prior_stores_arrived` can become true for
         ``key`` at DT ``dt_index``, or None while a gating store has not
         yet arrived anywhere (its eventual delivery wakes the mesh, so the
-        event wheel needs no estimate for it)."""
+        fast engine needs no estimate for it)."""
         seq, lsid = key
         wake = 0
         for block in self.window:

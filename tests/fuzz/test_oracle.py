@@ -75,8 +75,8 @@ def _stages(divergences):
 def test_run_case_compiles_each_level_once_and_shares_the_run(probe):
     assert run_case(generate(SEED)) == []
     assert probe.compiles == ["tcc", "hand"]
-    # arch:cycle, then full-scan and active-set; wheel+express is shared
-    assert len(probe.runs) == 3
+    # arch:cycle, then full-scan; the fast tier is shared
+    assert len(probe.runs) == 2
 
 
 @pytest.mark.parametrize("nuca,telemetry",
@@ -84,13 +84,13 @@ def test_run_case_compiles_each_level_once_and_shares_the_run(probe):
 def test_telemetry_and_nuca_tiers_all_simulate(probe, nuca, telemetry):
     assert run_case(generate(SEED), nuca=nuca, telemetry=telemetry) == []
     assert probe.compiles == ["tcc", "hand"]
-    assert len(probe.runs) == 4
+    assert len(probe.runs) == 3
 
 
 def test_check_engines_alone_runs_every_tier(probe):
     assert check_engines(generate(SEED)) == []
     assert probe.compiles == ["hand"]
-    assert len(probe.runs) == 3
+    assert len(probe.runs) == 2
     assert sum(config == PROTOTYPE for config in probe.runs) == 1
 
 
@@ -111,10 +111,10 @@ def test_production_crash_reaches_arch_and_engines(probe):
     prog = generate(SEED)
     probe.production = "crash"
     shared = run_case(prog)
-    assert _stages(shared) == ["arch:cycle", "engines:wheel+express"]
+    assert _stages(shared) == ["arch:cycle", "engines:fast"]
     assert {d.detail for d in shared} == {
         "raised: RuntimeError: injected production-engine crash"}
-    assert len(probe.runs) == 3
+    assert len(probe.runs) == 2
     assert shared == _unshared(prog)
 
 
@@ -122,8 +122,8 @@ def test_perturbed_production_stats_still_diverge(probe):
     prog = generate(SEED)
     probe.production = "perturb"
     shared = run_case(prog)
-    assert _stages(shared) == ["engines:wheel+express"]
+    assert _stages(shared) == ["engines:fast"]
     assert shared[0].detail.startswith(
         "stats diverge from full-scan: cycles: ")
-    assert len(probe.runs) == 3
+    assert len(probe.runs) == 2
     assert shared == _unshared(prog)

@@ -4,7 +4,9 @@ The load-bearing property: cycle accounting is *exact*.  For every tile,
 busy + all stalls + idle must sum to exactly ``ProcStats.cycles`` — on
 the fast-path engine (where idle-cycle fast-forward charges skipped
 stretches through ``account_skip``), on the escape-hatch engine, with
-the detailed NUCA memory system, and on the dual-core chip.
+the detailed NUCA memory system, and on the dual-core chip.  Skipped
+stretches are charged to the states stepping them would record, so the
+fast engine's per-tile totals equal the full-scan engine's.
 """
 
 import pytest
@@ -17,7 +19,7 @@ from repro.uarch.config import TripsConfig
 from repro.uarch.proc import TripsProcessor
 from repro.workloads import get_workload
 
-WORKLOADS = ["vadd", "sha", "qr", "genalg", "tblook01", "mcf"]
+WORKLOADS = ["vadd", "sha", "qr", "genalg", "tblook01", "mcf", "matrix"]
 
 
 def _run_with_tel(name, level="hand", **overrides):
@@ -64,9 +66,22 @@ def test_fast_forward_cycles_accounted_as_idle_spans():
     stats, summary = _run_with_tel("vadd", perfect_l2=False)
     assert summary.fast_forward["cycles"] > 0
     assert summary.fast_forward["stretches"] > 0
-    # the GT is strictly idle across every skipped stretch
+    # skipped stretches charge the GT idle, or gdn_backlog while the
+    # dispatch pipe drains; idle dominates
     assert summary.tiles["GT"].get("idle", 0) >= \
         summary.fast_forward["cycles"]
+
+
+@pytest.mark.parametrize("name,perfect_l2", [("vadd", True), ("qr", True),
+                                             ("mcf", True), ("qr", False)])
+def test_skip_accounting_matches_full_scan(name, perfect_l2):
+    """Skipped cycles are charged to the states stepping them would have
+    recorded: every tile's totals equal the full-scan engine's."""
+    _, fast = _run_with_tel(name, perfect_l2=perfect_l2, fast_path=True)
+    _, scan = _run_with_tel(name, perfect_l2=perfect_l2, fast_path=False)
+    assert fast.fast_forward["cycles"] > 0
+    assert fast.tiles == scan.tiles
+    assert fast.stall_totals == scan.stall_totals
 
 
 def test_aggregates_match_tiles():
@@ -109,7 +124,8 @@ def test_opn_utilization_recorded():
 
 
 def test_chip_dual_recorder_cycles_sum():
-    """Each chip core carries its own recorder; sums hold per core."""
+    """Each chip core carries its own recorder; sums hold per core, and
+    the chip's skips are charged as the full-scan chip steps them."""
     from repro.tir import Assign, For, TirProgram, V
 
     p0 = compile_tir(get_workload("vadd"), level="hand",
@@ -119,14 +135,24 @@ def test_chip_dual_recorder_cycles_sum():
         body=[For("i", 0, 20, 1, [Assign("acc", V("acc") + V("i"))])],
         outputs=["acc"])
     p1 = compile_tir(prog1, level="hand", base=0x40000, data_base=0x180000)
-    chip = TripsChip(p0.program, p1.program, telemetry=True)
-    chip.run()
+
+    def run_chip(fast_path):
+        chip = TripsChip(p0.program, p1.program,
+                         config=TripsConfig(fast_path=fast_path),
+                         telemetry=True)
+        chip.run()
+        return chip
+
+    chip = run_chip(True)
     for core in chip.cores:
         summary = core.tel.summary()
         _assert_tiles_sum(summary, core.cycle)
     # the shared memory system attaches to exactly one recorder (core 0)
     assert chip.cores[0].tel._owns_mem
     assert not chip.cores[1].tel._owns_mem
+    scan = run_chip(False)
+    assert [core.tel.summary().tiles for core in chip.cores] \
+        == [core.tel.summary().tiles for core in scan.cores]
 
 
 def test_telemetry_config_gates_sections():
