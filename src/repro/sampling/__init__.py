@@ -16,8 +16,10 @@ Four layers:
   measurement windows on representative intervals in proportion to
   phase population instead of by stratified stride;
 * :mod:`~repro.sampling.sampler` / :mod:`~repro.sampling.stats` — the
-  sampling driver and the statistical aggregation (point estimates with
-  95% confidence intervals; population-weighted when phase-clustered).
+  sampling driver (one measurement loop fed by either the stride or the
+  phase-clustered schedule) and the statistical aggregation (one
+  stratified estimator: point estimates with 95% confidence intervals,
+  population-weighted when phase-clustered).
 
 Together they let the harness run workloads 100-1000x bigger than full
 cycle-accurate simulation allows, at a quantified (typically <1%) error
@@ -29,15 +31,14 @@ from .ffwd import BlockCompileError, FastForwarder, compile_block
 from .phases import PhasePlan, PhaseWindow, kmeans, plan_phases, project_bbvs
 from .sampler import (SampledRun, SamplingConfig, run_sampled_program,
                       run_sampled_workload)
-from .stats import (SampledProcStats, WindowSample, aggregate,
-                    aggregate_phases, t95)
+from .stats import SampledProcStats, WindowSample, aggregate, t95
 from .validate import measure_error, staleness_sweep, warmup_sweep
 
 __all__ = [
     "ArchCheckpoint", "BlockCompileError", "CHECKPOINT_VERSION",
     "FastForwarder", "PhasePlan", "PhaseWindow", "SampledProcStats",
     "SampledRun", "SamplingConfig", "WindowSample", "aggregate",
-    "aggregate_phases", "compile_block", "kmeans", "measure_error",
+    "compile_block", "kmeans", "measure_error",
     "plan_phases", "project_bbvs", "run_sampled_program",
     "run_sampled_workload", "staleness_sweep", "take_checkpoint", "t95",
     "warmup_sweep",

@@ -41,8 +41,8 @@ The pipeline:
    the rest spread evenly across the cluster's extent in program order
    so a drifting phase is sampled along its drift.  Window weights are
    the cluster's population share split across its windows, which is
-   what makes the population-weighted estimator in
-   :func:`~repro.sampling.stats.aggregate_phases` honest.
+   what makes the population-weighted (stratified) estimator in
+   :func:`~repro.sampling.stats.aggregate` honest.
 """
 
 from __future__ import annotations

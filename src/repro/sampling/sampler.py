@@ -1,5 +1,11 @@
 """The interval-sampling driver: fast-forward, checkpoint, measure.
 
+Two schedulers decide *where* to measure — the stratified stride
+(:meth:`SamplingConfig.window_start`) or SimPoint-style phase clustering
+(:mod:`~repro.sampling.phases`) — and each produces ``(start, phase,
+weight)`` windows for one measurement loop and one aggregator
+(:func:`~repro.sampling.stats.aggregate`).
+
 The fast-forwarder is the master timeline — it retires every block of the
 program (so architectural outputs and instruction counts are exact) and
 carries warm predictor/cache state.  At each sample point it is
@@ -22,7 +28,7 @@ ordinary full simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..compiler import compile_tir
 from ..tir import TirProgram, interpret
@@ -30,8 +36,7 @@ from ..uarch.config import PROTOTYPE, TripsConfig
 from ..uarch.proc import TripsProcessor
 from .checkpoint import ArchCheckpoint, take_checkpoint
 from .ffwd import FastForwarder
-from .stats import (RATE_FIELDS, SampledProcStats, WindowSample, aggregate,
-                    aggregate_phases)
+from .stats import RATE_FIELDS, SampledProcStats, WindowSample, aggregate
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,8 @@ class SamplingConfig:
     to ``max_phases``) groups the intervals into behavioral phases, and
     ~``phase_windows`` measurement windows are placed on representative
     intervals in proportion to phase population.  Estimates become
-    population-weighted (:func:`~repro.sampling.stats.aggregate_phases`)
-    and ``jitter``/``offset_blocks`` are ignored.  All randomness comes
+    population-weighted (:func:`~repro.sampling.stats.aggregate`) and
+    ``jitter``/``offset_blocks`` are ignored.  All randomness comes
     from the fixed LCG seeded by ``phase_seed``, so schedules are
     byte-identical across runs.
     """
@@ -150,42 +155,42 @@ def _counter_snapshot(stats) -> Dict[str, int]:
     return {name: getattr(stats, name) for name in RATE_FIELDS}
 
 
-def _run_clustered(program, config: TripsConfig,
-                   sampling: SamplingConfig, telemetry,
-                   max_blocks: int) -> Tuple[SampledProcStats,
-                                             FastForwarder, List[dict],
-                                             "PhasePlan"]:
-    """The phase-clustered sampling driver (``clustering=True``).
+def _stride_schedule(sampling: SamplingConfig, ff: FastForwarder):
+    """The stratified-stride schedule: window ``k`` at
+    ``sampling.window_start(k)``, one stratum of weight 1, yielded lazily
+    until the warm measurement pass itself reaches program end."""
+    k = 0
+    while not ff.halted:
+        yield sampling.window_start(k), -1, 1.0
+        k += 1
 
-    Two fast-forward passes instead of one, both mostly *cold*:
 
-    1. A profiling pass (``warm=False`` + BBV collection) retires every
-       block — it is the source of the exact architectural outputs and
-       the exact block/instruction totals, and its per-interval BBVs
-       feed :func:`~repro.sampling.phases.plan_phases`.
-    2. A measurement pass that replays only up to the *last* scheduled
-       window (the totals are already known), warming predictor/cache
-       state continuously when ``warm_horizon`` is ``None`` or only
-       within the horizon of each window when it is set.
+def _phase_schedule(program, config: TripsConfig, sampling: SamplingConfig,
+                    max_blocks: int):
+    """The phase-clustered schedule (``clustering=True``).
 
-    With a ``warm_horizon`` the measurement pass does not even replay:
-    the profiling pass snapshots architectural state at every interval
-    boundary, and since a cold stretch touches nothing *but*
-    architectural state, the measurement fast-forwarder teleports to the
-    latest snapshot before each window's warming horizon
+    A cold profiling pass (``warm=False`` + BBV collection) retires every
+    block — it is the source of the exact architectural outputs and the
+    exact block/instruction totals, and its per-interval BBVs feed
+    :func:`~repro.sampling.phases.plan_phases`.  It also snapshots
+    architectural state at every interval boundary: a cold stretch
+    touches nothing *but* architectural state, so with a ``warm_horizon``
+    the measurement pass teleports to the latest snapshot before each
+    window's warming horizon
     (:meth:`~repro.sampling.ffwd.FastForwarder.restore_arch`) instead of
     re-executing the stretch — byte-identical estimates, but the
-    second pass shrinks from O(program) to O(windows * interval).
+    measurement pass shrinks from O(program) to O(windows * interval).
 
-    Returns the plan alongside the usual triple so callers can report
-    phase counts and weights.
+    Returns ``(windows, restarts, prof, k, phase_weights)``: the plan's
+    ``(start, phase, weight)`` windows, the interval-boundary snapshots,
+    the completed profiling pass and the plan's phase count and weights.
     """
     from .phases import plan_phases
 
     prof = FastForwarder(program, config, warm=False,
                          max_blocks=max_blocks,
                          bbv_interval=sampling.interval_blocks)
-    restarts: List["ArchCheckpoint"] = []
+    restarts: List[ArchCheckpoint] = []
     boundary = sampling.interval_blocks
     while not prof.halted:
         prof.run_blocks(boundary)
@@ -199,21 +204,54 @@ def _run_clustered(program, config: TripsConfig,
                        measure_blocks=sampling.measure_blocks,
                        seed=sampling.phase_seed,
                        max_phases=sampling.max_phases)
+    # a program shorter than two clustering intervals has no phase
+    # structure to exploit — schedule nothing, so it takes the
+    # full-simulation fallback (exact, single phase) instead of
+    # estimating the whole program with one partial window and an
+    # unbounded CI
+    windows = [(w.start_block, w.phase, w.weight) for w in plan.windows] \
+        if plan.n_intervals > 1 else []
+    return windows, restarts, prof, plan.k, plan.weights
 
+
+def run_sampled_program(program, config: TripsConfig = PROTOTYPE,
+                        sampling: SamplingConfig = SamplingConfig(),
+                        telemetry=None,
+                        max_blocks: int = 500_000_000,
+                        ) -> Tuple[SampledProcStats, FastForwarder,
+                                   List[dict]]:
+    """Sample one compiled :class:`~repro.isa.program.Program`.
+
+    Returns the aggregated stats, the (completed) fast-forwarder — whose
+    ``regs``/``memory`` hold the exact architectural results — and one
+    telemetry summary dict per window when ``telemetry`` is set.
+
+    Either scheduler yields ``(start, phase, weight)`` windows into one
+    measurement loop.  The stride schedule is generated lazily off the
+    warm measurement pass, which then also provides the exact totals;
+    with ``sampling.clustering`` a profiling pass plans the windows up
+    front (:func:`_phase_schedule`) and is the fast-forwarder returned.
+    """
+    sampling.validate()
+    config = config or PROTOTYPE
     horizon = sampling.warm_horizon
     ff = FastForwarder(program, config, warm=(horizon is None),
                        max_blocks=max_blocks)
+    if sampling.clustering:
+        schedule, restarts, exact, k, phase_weights = _phase_schedule(
+            program, config, sampling, max_blocks)
+    else:
+        schedule, restarts, exact, k, phase_weights = (
+            _stride_schedule(sampling, ff), [], ff, 0, ())
     windows: List[WindowSample] = []
     summaries: List[dict] = []
     ri = 0                      # next profiling snapshot to consider
-    # a program shorter than two clustering intervals has no phase
-    # structure to exploit — skip straight to the full-simulation
-    # fallback below (exact, single phase) instead of estimating the
-    # whole program with one partial window and an unbounded CI
-    for win in (plan.windows if plan.n_intervals > 1 else ()):
-        start = max(win.start_block, ff.stats.blocks)
+    for start, phase, weight in schedule:
+        start = max(start, ff.stats.blocks)
         warm_start = max(0, start - sampling.warmup_blocks)
         if horizon is not None:
+            # cold up to the horizon, teleporting to the latest snapshot
+            # before it when there is one (the stride schedule has none)
             cold_target = max(ff.stats.blocks, warm_start - horizon)
             jump = None
             while ri < len(restarts) and \
@@ -254,14 +292,14 @@ def _run_clustered(program, config: TripsConfig,
             insts=proc.stats.insts_committed - insts0,
             reads=proc.stats.reads_committed - reads0,
             counters=counters, lsq_peak=proc.stats.lsq_peak,
-            phase=win.phase, weight=win.weight))
+            phase=phase, weight=weight))
         if proc.tel is not None:
             summaries.append(proc.tel.summary().to_dict())
 
     if not windows:
-        # program shorter than one clustering interval (or every window
-        # fell past program end): one full-length window == exact full
-        # simulation, reported as a single phase of weight 1
+        # program too short for one window (or every window fell past
+        # program end): one full-length window == exact full simulation,
+        # reported as a single phase of weight 1 when clustered
         proc = TripsProcessor(program, config, telemetry=telemetry)
         stats = proc.run()
         windows.append(WindowSample(
@@ -269,102 +307,15 @@ def _run_clustered(program, config: TripsConfig,
             cycles=stats.cycles, insts=stats.insts_committed,
             reads=stats.reads_committed,
             counters=_counter_snapshot(stats), lsq_peak=stats.lsq_peak,
-            phase=0, weight=1.0))
+            phase=0 if k else -1))
         if proc.tel is not None:
             summaries.append(proc.tel.summary().to_dict())
-        sampled = aggregate_phases(windows, prof.stats.blocks,
-                                   prof.stats.fired, prof.stats.reads,
-                                   k=1, phase_weights=[1.0])
-        return sampled, prof, summaries, plan
+        if k:
+            k, phase_weights = 1, [1.0]
 
-    sampled = aggregate_phases(windows, prof.stats.blocks,
-                               prof.stats.fired, prof.stats.reads,
-                               k=plan.k, phase_weights=plan.weights)
-    return sampled, prof, summaries, plan
-
-
-def run_sampled_program(program, config: TripsConfig = PROTOTYPE,
-                        sampling: SamplingConfig = SamplingConfig(),
-                        telemetry=None,
-                        max_blocks: int = 500_000_000,
-                        ) -> Tuple[SampledProcStats, FastForwarder,
-                                   List[dict]]:
-    """Sample one compiled :class:`~repro.isa.program.Program`.
-
-    Returns the aggregated stats, the (completed) fast-forwarder — whose
-    ``regs``/``memory`` hold the exact architectural results — and one
-    telemetry summary dict per window when ``telemetry`` is set.
-
-    With ``sampling.clustering`` the stride schedule is replaced by the
-    phase-clustered driver (see :func:`_run_clustered`); the returned
-    fast-forwarder is then the completed profiling pass.
-    """
-    sampling.validate()
-    if sampling.clustering:
-        sampled, ff, summaries, _ = _run_clustered(
-            program, config or PROTOTYPE, sampling, telemetry, max_blocks)
-        return sampled, ff, summaries
-    ff = FastForwarder(program, config, warm=True, max_blocks=max_blocks)
-    windows: List[WindowSample] = []
-    summaries: List[dict] = []
-    k = 0
-    horizon = sampling.warm_horizon
-    while not ff.halted:
-        start = max(sampling.window_start(k), ff.stats.blocks)
-        k += 1
-        warm_start = max(0, start - sampling.warmup_blocks)
-        if horizon is not None:
-            ff.warm = False
-            ff.run_blocks(max(ff.stats.blocks, warm_start - horizon))
-            ff.warm = True
-        ff.run_blocks(warm_start)
-        if ff.halted:
-            break
-        ckpt = take_checkpoint(ff)
-        proc = TripsProcessor(program, config, telemetry=telemetry,
-                              checkpoint=ckpt)
-        warm_target = start - ff.stats.blocks
-        if warm_target:
-            proc.run(until_blocks=warm_target)
-        if proc.halted and proc.stats.blocks_committed <= warm_target:
-            continue            # program ended inside the warmup span
-        proc.finalize_stats()
-        cycles0 = proc.cycle
-        insts0 = proc.stats.insts_committed
-        reads0 = proc.stats.reads_committed
-        counters0 = _counter_snapshot(proc.stats)
-        proc.run(until_blocks=warm_target + sampling.measure_blocks)
-        proc.finalize_stats()
-        measured = proc.stats.blocks_committed - warm_target
-        if measured <= 0:
-            continue
-        counters = {name: getattr(proc.stats, name) - counters0[name]
-                    for name in RATE_FIELDS}
-        windows.append(WindowSample(
-            start_block=start, blocks=measured,
-            cycles=proc.cycle - cycles0,
-            insts=proc.stats.insts_committed - insts0,
-            reads=proc.stats.reads_committed - reads0,
-            counters=counters, lsq_peak=proc.stats.lsq_peak))
-        if proc.tel is not None:
-            summaries.append(proc.tel.summary().to_dict())
-
-    if not windows:
-        # program shorter than one sampling period: fall back to one
-        # full-length window (= ordinary full simulation, zero error)
-        proc = TripsProcessor(program, config, telemetry=telemetry)
-        stats = proc.run()
-        windows.append(WindowSample(
-            start_block=0, blocks=stats.blocks_committed,
-            cycles=stats.cycles, insts=stats.insts_committed,
-            reads=stats.reads_committed,
-            counters=_counter_snapshot(stats), lsq_peak=stats.lsq_peak))
-        if proc.tel is not None:
-            summaries.append(proc.tel.summary().to_dict())
-
-    sampled = aggregate(windows, ff.stats.blocks, ff.stats.fired,
-                        ff.stats.reads)
-    return sampled, ff, summaries
+    sampled = aggregate(windows, exact.stats.blocks, exact.stats.fired,
+                        exact.stats.reads, k=k, phase_weights=phase_weights)
+    return sampled, exact, summaries
 
 
 @dataclass

@@ -3,12 +3,18 @@
 SMARTS-style estimation: the fast-forwarder retires *every* block, so
 ``blocks_total`` / ``insts_total`` / ``reads_total`` are exact; only the
 *timing* is sampled.  Each measurement window contributes one observation
-of cycles-per-block, and the whole-program cycle count is the mean CPB
-scaled by the exact block count, with a confidence interval from the
+of cycles-per-block, and the whole-program cycle count is the estimated
+CPB scaled by the exact block count, with a confidence interval from the
 inter-window variance (Student t for small window counts).  Event
 counters (flushes, network messages, cache misses) extrapolate the same
 way; ``lsq_peak`` is a peak, not a rate, and reports the maximum seen in
 any window.
+
+One estimator serves both schedulers: :func:`aggregate` is stratified,
+with each phase a stratum weighted by the population share its windows
+carry.  A stride-scheduled run is a single stratum of weight 1, on which
+the stratified estimate reduces exactly to the plain mean and Student-t
+interval.
 
 ``SampledProcStats`` round-trips through :mod:`repro.serialize` like the
 other stats dataclasses (Python's ``json`` emits ``repr``-exact floats,
@@ -19,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Sequence
 
 #: two-sided 95% Student-t quantiles by degrees of freedom (1-30);
 #: beyond 30 the normal quantile is within 2%.
@@ -50,10 +56,10 @@ RATE_FIELDS = ("blocks_flushed", "blocks_fetched", "flushes_mispredict",
 class WindowSample:
     """Raw deltas of one measurement window (warmup already excluded).
 
-    ``phase``/``weight`` are set only by the phase-clustered scheduler
-    (:mod:`~repro.sampling.phases`): the cluster this window samples and
-    the population share it represents.  Stride-scheduled windows leave
-    them at their defaults and serialize without the keys, so the
+    ``phase``/``weight`` are the stratum this window samples and the
+    population share it represents, set by the phase-clustered scheduler
+    (:mod:`~repro.sampling.phases`).  Stride-scheduled windows keep phase
+    -1, one stratum of weight 1, and serialize without the keys, so the
     defaults-off record format is unchanged.
     """
 
@@ -65,7 +71,7 @@ class WindowSample:
     counters: Dict[str, int] = field(default_factory=dict)
     lsq_peak: int = 0
     phase: int = -1
-    weight: float = 0.0
+    weight: float = 1.0
 
     def to_dict(self) -> dict:
         data = {"start_block": self.start_block, "blocks": self.blocks,
@@ -85,7 +91,7 @@ class WindowSample:
                    counters=dict(data.get("counters", {})),
                    lsq_peak=data.get("lsq_peak", 0),
                    phase=data.get("phase", -1),
-                   weight=data.get("weight", 0.0))
+                   weight=data.get("weight", 1.0))
 
 
 @dataclass
@@ -96,9 +102,9 @@ class SampledProcStats:
     ``insts_total``, ``reads_total``.  Estimated fields carry a 95%
     confidence half-width in the matching ``*_ci`` field.
 
-    ``phases``/``phase_weights`` are populated only by the
-    phase-clustered estimator (:func:`aggregate_phases`): the number of
-    behavioral phases found and each phase's population share.  They are
+    ``phases``/``phase_weights`` are populated only for phase-clustered
+    runs (``k`` of :func:`aggregate`): the number of behavioral phases
+    found and each phase's population share.  They are
     dropped from ``to_dict`` when unset, keeping the defaults-off
     serialization byte-identical to the stride-scheduled sampler's.
     """
@@ -146,62 +152,6 @@ class SampledProcStats:
         return dataclass_from_dict(cls, data)
 
 
-def _mean_ci(values: List[float]) -> (float, float):
-    n = len(values)
-    mean = sum(values) / n
-    if n < 2:
-        return mean, float("inf")
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return mean, t95(n - 1) * math.sqrt(var / n)
-
-
-def aggregate(windows: List[WindowSample], blocks_total: int,
-              insts_total: int, reads_total: int) -> SampledProcStats:
-    """Fold window observations into whole-program estimates."""
-    if not windows:
-        raise ValueError("no measurement windows to aggregate")
-    usable = [w for w in windows if w.blocks > 0]
-    if not usable:
-        raise ValueError("every measurement window is empty")
-
-    cpb = [w.cycles / w.blocks for w in usable]
-    cpb_mean, cpb_ci = _mean_ci(cpb)
-    cycles_est = cpb_mean * blocks_total
-    cycles_ci = cpb_ci * blocks_total
-
-    ipc_est = insts_total / cycles_est if cycles_est else 0.0
-    # delta method: d(ipc)/d(cycles) = -insts/cycles^2
-    ipc_ci = (insts_total / cycles_est ** 2) * cycles_ci \
-        if cycles_est and math.isfinite(cycles_ci) else float("inf")
-
-    rates: Dict[str, float] = {}
-    rates_ci: Dict[str, float] = {}
-    for name in RATE_FIELDS:
-        per_block = [w.counters.get(name, 0) / w.blocks for w in usable]
-        mean, ci = _mean_ci(per_block)
-        rates[name] = mean * blocks_total
-        rates_ci[name] = ci * blocks_total if math.isfinite(ci) \
-            else float("inf")
-
-    return SampledProcStats(
-        blocks_total=blocks_total,
-        insts_total=insts_total,
-        reads_total=reads_total,
-        windows=len(usable),
-        measured_blocks=sum(w.blocks for w in usable),
-        measured_cycles=sum(w.cycles for w in usable),
-        measured_insts=sum(w.insts for w in usable),
-        cycles_est=cycles_est,
-        cycles_ci=cycles_ci,
-        ipc_est=ipc_est,
-        ipc_ci=ipc_ci,
-        lsq_peak=max(w.lsq_peak for w in usable),
-        rates=rates,
-        rates_ci=rates_ci,
-        window_detail=[w.to_dict() for w in usable],
-    )
-
-
 def _weighted_stats(values_by_phase: Dict[int, List[float]],
                     weights: Dict[int, float]) -> (float, float, int):
     """Stratified point estimate + variance of the estimate + df.
@@ -243,16 +193,17 @@ def _weighted_stats(values_by_phase: Dict[int, List[float]],
     return est, var, n_all - 1
 
 
-def aggregate_phases(windows: List[WindowSample], blocks_total: int,
-                     insts_total: int, reads_total: int,
-                     k: int, phase_weights: List[float]
-                     ) -> SampledProcStats:
-    """Fold phase-scheduled windows into population-weighted estimates.
+def aggregate(windows: List[WindowSample], blocks_total: int,
+              insts_total: int, reads_total: int, k: int = 0,
+              phase_weights: Sequence[float] = ()) -> SampledProcStats:
+    """Fold window observations into whole-program estimates.
 
     Each window carries its phase and the population share it represents
     (:class:`~repro.sampling.phases.PhaseWindow`); phases whose windows
     all fell past program end are dropped and the surviving phases'
     weights renormalized, so the estimator stays a convex combination.
+    ``k``/``phase_weights`` are the clustering outcome to record; the
+    stride schedule leaves them unset.
     """
     if not windows:
         raise ValueError("no measurement windows to aggregate")
@@ -276,6 +227,7 @@ def aggregate_phases(windows: List[WindowSample], blocks_total: int,
         if math.isfinite(cpb_var) else float("inf")
 
     ipc_est = insts_total / cycles_est if cycles_est else 0.0
+    # delta method: d(ipc)/d(cycles) = -insts/cycles^2
     ipc_ci = (insts_total / cycles_est ** 2) * cycles_ci \
         if cycles_est and math.isfinite(cycles_ci) else float("inf")
 

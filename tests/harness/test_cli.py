@@ -51,3 +51,65 @@ class TestOtherCommands:
     def test_table1(self, capsys):
         assert main(["table1"]) == 0
         assert "GT" in capsys.readouterr().out
+
+
+class TestRunSampleCommand:
+    """``run --sample`` prints exactly what the sampling API returns."""
+
+    GEOMETRY = ["--size", "8", "--level", "tcc", "--interval", "800",
+                "--warmup", "80", "--measure", "120"]
+    PHASED = ["--phases", "--phase-windows", "10", "--warm-horizon", "400"]
+
+    @staticmethod
+    def _expected(**phased):
+        from repro.sampling import SamplingConfig, run_sampled_workload
+        sampling = SamplingConfig(interval_blocks=800, warmup_blocks=80,
+                                  measure_blocks=120, **phased)
+        run = run_sampled_workload("mcf", level="tcc", size=8,
+                                   sampling=sampling)
+        return json.loads(json.dumps(run.sampled.to_dict())), sampling
+
+    def test_sample_json_mode(self, capsys):
+        assert main(["run", "mcf", "--sample", "--json"]
+                    + self.GEOMETRY) == 0
+        record = json.loads(capsys.readouterr().out)
+        sampled, sampling = self._expected()
+        assert record["sampled"] == sampled
+        assert record["sampling"] == sampling.to_dict()
+        assert "phases" not in record["sampled"]
+
+    def test_sample_json_mode_with_phases(self, capsys):
+        assert main(["run", "mcf", "--sample", "--json"]
+                    + self.GEOMETRY + self.PHASED) == 0
+        record = json.loads(capsys.readouterr().out)
+        sampled, sampling = self._expected(clustering=True, phase_windows=10,
+                                           warm_horizon=400)
+        assert record["sampled"] == sampled
+        assert record["sampling"] == sampling.to_dict()
+        assert record["sampled"]["phases"] >= 2
+
+    def test_sample_text_mode(self, capsys):
+        assert main(["run", "mcf", "--sample"] + self.GEOMETRY) == 0
+        out = capsys.readouterr().out
+        sampled, _ = self._expected()
+        assert "mcfx8 @ tcc (sampled): " \
+            f"{sampled['cycles_est']:.0f} ± {sampled['cycles_ci']:.0f}" in out
+        assert f"{sampled['windows']} realized windows" in out
+        assert "warm horizon" not in out and "phases" not in out
+
+    def test_sample_text_mode_with_phases(self, capsys):
+        assert main(["run", "mcf", "--sample"]
+                    + self.GEOMETRY + self.PHASED) == 0
+        out = capsys.readouterr().out
+        sampled, _ = self._expected(clustering=True, phase_windows=10,
+                                    warm_horizon=400)
+        assert f"{sampled['windows']} realized windows" in out
+        assert "warm horizon 400 blocks" in out
+        line = next(l for l in out.splitlines()
+                    if "phases (weight×windows)" in l)
+        # one "pN share%×count" entry per phase, counts summing to the
+        # realized windows
+        parts = line.split(": ", 1)[1].split(", ")
+        assert len(parts) == sampled["phases"]
+        assert sum(int(p.rsplit("×", 1)[1]) for p in parts) \
+            == sampled["windows"]

@@ -13,7 +13,7 @@ from repro.compiler import compile_tir
 from repro.harness.runner import run_trips_workload
 from repro.sampling import SamplingConfig, run_sampled_workload
 from repro.sampling.sampler import run_sampled_program
-from repro.uarch.config import TripsConfig
+from repro.uarch.config import PROTOTYPE, TripsConfig
 
 
 class TestSamplingConfig:
@@ -212,3 +212,61 @@ class TestClusteredSampling:
         assert data["phases"] == run.sampled.phases
         back = SampledProcStats.from_dict(data)
         assert back.to_dict() == data
+
+
+def _mcf8():
+    from repro.workloads import get_workload
+    return compile_tir(get_workload("mcf", size=8), level="tcc").program
+
+
+GEOMETRY = dict(interval_blocks=800, warmup_blocks=80, measure_blocks=120)
+
+
+class TestOneDriver:
+    """Both schedulers feed the same measurement loop."""
+
+    @pytest.mark.parametrize("clustering", [False, True])
+    def test_config_none_means_prototype(self, clustering):
+        program = _mcf8()
+        sampling = SamplingConfig(**GEOMETRY, clustering=clustering,
+                                  phase_windows=10)
+        none, _, _ = run_sampled_program(program, config=None,
+                                         sampling=sampling)
+        proto, _, _ = run_sampled_program(program, config=PROTOTYPE,
+                                          sampling=sampling)
+        assert none.to_dict() == proto.to_dict()
+
+    @pytest.mark.parametrize("clustering", [False, True])
+    def test_hooks_are_looked_up_at_call_time(self, clustering,
+                                              monkeypatch):
+        # layer tracing wraps ``sampler.take_checkpoint`` and
+        # ``phases.plan_phases`` by attribute; a driver that bound
+        # either name at import time would silently bypass the wrapper
+        import repro.sampling.phases as phases
+        import repro.sampling.sampler as sampler
+        calls = {"take": 0, "plan": 0}
+        take, plan = sampler.take_checkpoint, phases.plan_phases
+
+        def counted_take(ff):
+            calls["take"] += 1
+            return take(ff)
+
+        def counted_plan(*args, **kwargs):
+            calls["plan"] += 1
+            return plan(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, "take_checkpoint", counted_take)
+        monkeypatch.setattr(phases, "plan_phases", counted_plan)
+        sampling = SamplingConfig(**GEOMETRY, clustering=clustering,
+                                  phase_windows=10, warm_horizon=400)
+        sampled, _, _ = run_sampled_program(_mcf8(), sampling=sampling)
+        assert sampled.windows > 1
+        if clustering:
+            # one plan; a checkpoint per window and per interval boundary
+            boundaries = (sampled.blocks_total - 1) \
+                // sampling.interval_blocks
+            assert calls["plan"] == 1
+            assert calls["take"] >= sampled.windows + boundaries
+        else:
+            assert calls["plan"] == 0
+            assert calls["take"] >= sampled.windows

@@ -8,7 +8,9 @@ import threading
 
 import pytest
 
-from repro.simlab import ResultCache, RunSpec, SimlabError, run_specs
+from repro.sampling import SamplingConfig, run_sampled_workload
+from repro.simlab import (ResultCache, RunSpec, SimlabError, execute_spec,
+                          run_specs)
 from repro.simlab.executor import resolve_workers
 
 
@@ -125,3 +127,32 @@ class TestValidation:
         from repro.simlab import execute_spec
         with pytest.raises(SimlabError, match="unknown selftest mode"):
             execute_spec(RunSpec.selftest("no-such-mode"))
+
+
+class TestSampledSpec:
+    """A ``RunSpec`` with a sampling geometry runs the sampled tier."""
+
+    SAMPLING = SamplingConfig(interval_blocks=800, warmup_blocks=80,
+                              measure_blocks=120, clustering=True,
+                              phase_windows=10, warm_horizon=400)
+
+    def test_sampled_spec_records_the_sampler_result(self):
+        spec = RunSpec.trips("mcf", level="tcc", size=8,
+                             sampling=self.SAMPLING)
+        assert spec.sampling_config() == self.SAMPLING
+        result = execute_spec(spec)
+        run = run_sampled_workload("mcf", level="tcc", size=8,
+                                   sampling=self.SAMPLING)
+        assert result["sampled"] == run.sampled.to_dict()
+        assert result["fallback_blocks"] == 0
+        assert "stats" not in result and "telemetry_windows" not in result
+
+    def test_sampled_spec_with_telemetry(self):
+        spec = RunSpec.trips("mcf", level="tcc", size=8, telemetry=True,
+                             sampling=SamplingConfig(interval_blocks=800,
+                                                     warmup_blocks=80,
+                                                     measure_blocks=120))
+        result = execute_spec(spec)
+        assert "phases" not in result["sampled"]
+        assert len(result["telemetry_windows"]) \
+            == result["sampled"]["windows"]
