@@ -25,15 +25,14 @@ def _proc():
 
 def test_fig2_tile_counts(benchmark, results_dir):
     proc = benchmark(_proc)
-    cfg = proc.config
     lines = ["Figure 2 per-core tile census:"]
     counts = {"GT": 1, "RT": len(proc.rts), "DT": len(proc.dts),
-              "ET": len(proc.ets), "IT": cfg.num_its}
+              "ET": len(proc.ets), "IT": len(proc.icache)}
     for k, v in counts.items():
         lines.append(f"  {k} x {v}")
     save(results_dir, "fig2_topology.txt", "\n".join(lines))
     assert counts == {"GT": 1, "RT": 4, "DT": 4, "ET": 16, "IT": 5}
-    assert cfg.window_size == 1024
+    assert proc.config.window_size == 1024
 
 
 def test_fig3_opn_placement(benchmark):

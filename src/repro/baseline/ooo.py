@@ -314,10 +314,6 @@ class OooCore:
         return stats
 
 
-def _granules(address: int, size: int):
-    return range(address >> 3, (address + size - 1 >> 3) + 1)
-
-
 def run_baseline(program: SriscProgram, config: BaselineConfig = None):
     """Convenience: functional + timing in one call.
 

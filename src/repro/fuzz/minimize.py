@@ -22,7 +22,6 @@ output — which the determinism test in ``tests/fuzz`` locks in.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, List, Optional
 
 from ..tir import (
@@ -46,10 +45,6 @@ Predicate = Callable[[TirProgram], bool]
 
 def _clone(prog: TirProgram) -> TirProgram:
     return program_from_dict(program_to_dict(prog))
-
-
-def _canon(prog: TirProgram) -> str:
-    return json.dumps(program_to_dict(prog), sort_keys=True)
 
 
 def _still_fails(candidate: TirProgram, predicate: Predicate) -> bool:

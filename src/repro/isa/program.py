@@ -74,9 +74,6 @@ class Program:
         image.update(self.data)
         return image
 
-    def total_code_bytes(self) -> int:
-        return sum(b.size_bytes for b in self.blocks.values())
-
     def static_instruction_count(self) -> int:
         """Total static instructions including header reads/writes."""
         return sum(len(b.body) + len(b.reads) + len(b.writes)

@@ -20,7 +20,6 @@ class MtConfig:
     assoc: int = 4
     line_bytes: int = 64
     bank_latency: int = 4          # SRAM access pipeline
-    mshr_entries: int = 1          # single-entry MSHR (Section 3.6)
 
 
 class MemoryTile:

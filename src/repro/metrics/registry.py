@@ -74,9 +74,6 @@ class _Metric:
             child = self._children[key] = default()
         return key, child
 
-    def label_sets(self) -> List[LabelKey]:
-        return list(self._children)
-
 
 class Counter(_Metric):
     """Monotonic count; only increments are allowed."""

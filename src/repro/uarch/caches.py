@@ -1,15 +1,14 @@
 """Set-associative cache banks (timing model).
 
 Data correctness flows through the backing store plus the LSQ (committed
-state + in-flight forwarding); the cache banks model *timing* — hit/miss,
-LRU replacement, MSHR occupancy — exactly the split the paper's validation
+state + in-flight forwarding); the cache banks model *timing* — hit/miss
+and LRU replacement — exactly the split the paper's validation
 methodology implies for tsim-proc.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 class CacheBank:
@@ -59,12 +58,6 @@ class CacheBank:
             return lines.pop() * self.line_bytes
         return None
 
-    def invalidate(self, address: int) -> None:
-        lines = self._sets[self._index(address)]
-        tag = self._tag(address)
-        if tag in lines:
-            lines.remove(tag)
-
     # -- warm-state snapshot (repro.sampling checkpoints) ---------------
     def state(self) -> List[List[int]]:
         """Tag contents of every set, MRU first (JSON-serializable)."""
@@ -75,31 +68,3 @@ class CacheBank:
             raise ValueError(f"cache state has {len(sets)} sets, "
                              f"bank has {self.num_sets}")
         self._sets = [list(lines) for lines in sets]
-
-
-@dataclass
-class Mshr:
-    """Miss status holding registers: bounded outstanding lines."""
-
-    max_lines: int
-    max_requests: int
-    lines: Dict[int, List[object]] = field(default_factory=dict)
-    total_requests: int = 0
-
-    def can_accept(self, line_addr: int) -> bool:
-        if line_addr in self.lines:
-            return self.total_requests < self.max_requests
-        return (len(self.lines) < self.max_lines
-                and self.total_requests < self.max_requests)
-
-    def add(self, line_addr: int, token: object) -> bool:
-        """Attach a waiting request; True if this line is a new miss."""
-        new = line_addr not in self.lines
-        self.lines.setdefault(line_addr, []).append(token)
-        self.total_requests += 1
-        return new
-
-    def complete(self, line_addr: int) -> List[object]:
-        tokens = self.lines.pop(line_addr, [])
-        self.total_requests -= len(tokens)
-        return tokens

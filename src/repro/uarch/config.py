@@ -20,7 +20,6 @@ class PredictorConfig:
     choice_bits: int = 12 * 1024      # tournament chooser
     btb_bits: int = 20 * 1024         # branch target buffer
     ctb_bits: int = 6 * 1024          # call target buffer
-    ras_bits: int = 7 * 1024          # return address stack
     btype_bits: int = 12 * 1024       # branch type predictor
     exit_history_len: int = 10        # 3-bit exits folded into history
     #: "static" disables all dynamic structures (ablation), "gshare"
@@ -30,28 +29,26 @@ class PredictorConfig:
 
 @dataclass
 class TripsConfig:
-    """The prototype processor core."""
+    """The prototype processor core.
 
-    # --- topology (fixed by the tile layout, Figure 2) -----------------
-    et_rows: int = 4
-    et_cols: int = 4
-    num_rts: int = 4
-    num_dts: int = 4
-    num_its: int = 5
+    Facts the prototype fixes live in code, not here: the Figure-2 tile
+    layout (16 ETs, 4 RTs, 4 DTs, 5 ITs), the tag-access and hit/miss
+    fetch stages, the ITs' 4-instruction GDN width and the 16-entry RAS.
+    The LSQ is sized from the window (``max_blocks_in_flight`` x 32).
+    Every field moves the simulation (tests/uarch/test_config_liveness.py).
+    """
 
     # --- block window ----------------------------------------------------
     max_blocks_in_flight: int = 8     # 1 non-speculative + 7 speculative
     speculative_blocks: int = 7       # ablation: 0 disables speculation
 
     # --- fetch (Section 4.1) ---------------------------------------------
+    #: next-block prediction; dispatch starts 2 cycles later (tag access
+    #: plus hit/miss detection)
     predict_cycles: int = 3
-    tag_access_cycles: int = 1
-    hit_miss_cycles: int = 1
     dispatch_commands: int = 8        # pipelined GDN indices per block
-    it_insts_per_cycle: int = 4       # each IT streams 4 insts/cycle east
 
     # --- execution ---------------------------------------------------------
-    stations_per_et: int = 64         # 8 insts x 8 blocks
     #: operands one link can carry per cycle (the paper's future-work
     #: extension is "more operand network bandwidth": ablation knob).
     opn_links_per_hop: int = 1
@@ -64,11 +61,8 @@ class TripsConfig:
     l1i_assoc: int = 2
     line_bytes: int = 64
     l1_hit_cycles: int = 2            # DT cache access
-    dt_mshr_entries: int = 16
-    dt_outstanding_lines: int = 4
 
-    # --- LSQ / dependence prediction (Section 3.5) -------------------------
-    lsq_entries: int = 256            # replicated at every DT
+    # --- dependence prediction (Section 3.5) -------------------------------
     dep_predictor_bits: int = 1024
     dep_clear_interval_blocks: int = 10_000
     dep_predictor_enabled: bool = True
@@ -96,10 +90,6 @@ class TripsConfig:
     def with_overrides(self, **kwargs) -> "TripsConfig":
         """A copy with some fields replaced (ablation helper)."""
         return replace(self, **kwargs)
-
-    @property
-    def num_ets(self) -> int:
-        return self.et_rows * self.et_cols
 
     @property
     def window_size(self) -> int:

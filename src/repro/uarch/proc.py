@@ -280,6 +280,9 @@ class TripsProcessor:
         self.committed_seqs: Set[int] = set()
 
         self.dispatch_pipe_free = 0
+        # fetch to first dispatch (Section 4.1): next-block prediction,
+        # then one cycle of I-cache tag access and one of hit/miss
+        self._fetch_latency = config.predict_cycles + 2
         self.frame_freed: Dict[int, Tuple[int, Optional[int]]] = {}
         self.halted = False
         self.halt_uid = -1
@@ -316,9 +319,6 @@ class TripsProcessor:
 
     def dt_index(self, address: int) -> int:
         return (address >> 6) % 4
-
-    def l2_latency(self, address: int) -> int:
-        return self.config.l2_hit_cycles     # detailed NUCA path: repro.mem
 
     def schedule(self, at_cycle: int, fn) -> None:
         floor = self.cycle + 1
@@ -460,8 +460,7 @@ class TripsProcessor:
                             and unresolved <= self.config.speculative_blocks:
                         addr_t = max(t, tail.pred_ready_t)
             if addr_t is not None:
-                backlog_clear = self.dispatch_pipe_free \
-                    - self.config.predict_cycles - 2
+                backlog_clear = self.dispatch_pipe_free - self._fetch_latency
                 times.append(max(addr_t, backlog_clear))
         if not times:
             return None
@@ -627,7 +626,7 @@ class TripsProcessor:
         mid = t0
         if self.free_frames:
             mid = max(t0, min(t1, self.dispatch_pipe_free
-                              - self.config.predict_cycles - 2))
+                              - self._fetch_latency))
         if mid > t0:
             timeline.add(_tel.GDN_BACKLOG, t0, mid)
         if mid < t1:
@@ -667,7 +666,7 @@ class TripsProcessor:
         # Don't claim a window slot while the dispatch pipe is backlogged:
         # a frame parked behind the GDN does no work and just shrinks the
         # effective in-flight window.
-        if self.dispatch_pipe_free > t + self.config.predict_cycles + 2:
+        if self.dispatch_pipe_free > t + self._fetch_latency:
             if self.tel is not None:
                 self._tel_gdn_blocked_t = t
             return
@@ -703,7 +702,7 @@ class TripsProcessor:
         # I-cache: every chunk's IT bank must hold its line.
         miss_its = [k for k in range(1 + decoded.block.num_body_chunks)
                     if not self.icache[k].lookup(addr)]
-        dispatch_start = max(t + 5, self.dispatch_pipe_free)
+        dispatch_start = max(t + self._fetch_latency, self.dispatch_pipe_free)
         if miss_its:
             self.stats.icache_miss_blocks += 1
             self.stats.grn_messages += len(miss_its)
@@ -1108,7 +1107,3 @@ class TripsProcessor:
                 if need > wake:
                     wake = need
         return wake
-
-    # ------------------------------------------------------------------
-    def architectural_state(self) -> Tuple[List[int], BackingStore]:
-        return self.regs, self.memory

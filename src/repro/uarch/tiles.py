@@ -13,7 +13,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..isa import ACCESS_SIZE, OpClass, Opcode, OperandKind
+from ..isa import ACCESS_SIZE, MAX_MEM_OPS, OpClass, Opcode, OperandKind
 from ..isa.alu import execute
 from ..isa.opcodes import SIGNED_LOADS
 from ..telemetry import recorder as _tel
@@ -599,7 +599,8 @@ class DataTile:
         from .caches import CacheBank
         self.cache = CacheBank(cfg.l1d_bank_kb * 1024, cfg.l1d_assoc,
                                cfg.line_bytes)
-        self.lsq = LoadStoreQueue(cfg.lsq_entries)
+        # sized to the window: 8 blocks x 32 memory ops = 256 entries
+        self.lsq = LoadStoreQueue(cfg.max_blocks_in_flight * MAX_MEM_OPS)
         self.deppred = DependencePredictor(
             cfg.dep_predictor_bits, cfg.dep_clear_interval_blocks,
             cfg.dep_predictor_enabled)

@@ -21,6 +21,7 @@ from repro.tir import (
     bits_to_int,
     interpret,
 )
+from repro.tir import interp
 
 
 def run(prog):
@@ -109,7 +110,11 @@ class TestControlFlow:
                 Assign("n", V("n") - 1)])])
         assert bits_to_int(run(prog).scalars["acc"]) == 120
 
-    def test_statement_budget(self):
+    def test_statement_budget(self, monkeypatch):
+        # the interpreter reads the budget at call time, so a small one
+        # reaches the same error path without 50M statements of work
+        assert interp.MAX_DYNAMIC_STATEMENTS == 50_000_000
+        monkeypatch.setattr(interp, "MAX_DYNAMIC_STATEMENTS", 1_000)
         prog = TirProgram("t", scalars={"x": 1},
             body=[While(V("x").gt(0), [Assign("x", V("x") + 1)])])
         with pytest.raises(TirError, match="budget"):

@@ -4,8 +4,48 @@ import pytest
 
 from repro.asm import assemble
 from repro.isa import ProgramBuilder, Target, OperandKind, TripsBlock, make
+from repro.sampling import FastForwarder
 from repro.uarch.config import TripsConfig
+from repro.uarch.functional import FunctionalSim
+from repro.uarch.predictor import BT_CALL, BT_RETURN
 from repro.uarch.proc import TripsProcessor
+
+#: 200 iterations of two call sites calling two distinct callees; each
+#: callee RETs through the register its CALLO's link target wrote (R9,
+#: R10), so every iteration is call_a, fa, call_b, fb, tail
+CALL_RETURN_LOOP = """.reg R4 = 200
+.reg R5 = 1
+.reg R6 = 7
+.block call_a
+    W[8]  write R9
+    N[0]  callo exit0 @fa W[8]
+.block call_b
+    W[16] write R10
+    N[0]  callo exit0 @fb W[16]
+.block tail
+    R[0]  read R4 N[2,L]
+    W[0]  write R4
+    N[2]  subi #1 N[3,L]
+    N[3]  mov W[0] N[4,L]
+    N[4]  tgti #0 N[7,L]
+    N[7]  mov N[5,P] N[6,P]
+    N[5]  bro_t exit0 @call_a
+    N[6]  bro_f exit1 @exit
+.block fa
+    R[8]  read R5 N[1,L]
+    R[9]  read R9 N[0,L]
+    W[8]  write R5
+    N[1]  muli #3 N[2,L]
+    N[2]  addi #1 W[8]
+    N[0]  ret exit0
+.block fb
+    R[16] read R6 N[1,L]
+    R[8]  read R5 N[1,R]
+    R[17] read R10 N[0,L]
+    W[16] write R6
+    N[1]  add W[16]
+    N[0]  ret exit0
+"""
 
 
 def chain_program(n_blocks: int, loops: int = 2):
@@ -108,3 +148,24 @@ class TestCallReturn:
         assert proc.stats.blocks_committed == 24
         # the tournament + RAS must do better than one flush per block
         assert proc.stats.flushes_mispredict < proc.stats.blocks_committed
+
+    def test_two_call_sites_every_engine_agrees(self):
+        # the compiler never emits callo/ret, so this hand-assembled loop
+        # is what drives the ETs' CALLO/RET arms and the predictor's CTB,
+        # branch-type table and RAS through the cycle engine
+        program = assemble(CALL_RETURN_LOOP)
+        fast = TripsProcessor(program)
+        stats = fast.run().to_dict()
+        full = TripsProcessor(program, config=TripsConfig(fast_path=False))
+        assert full.run().to_dict() == stats
+        assert stats["blocks_committed"] == 5 * 200
+        assert {BT_CALL, BT_RETURN} <= set(fast.predictor.btype)
+        ref = FunctionalSim(program)
+        ref.run()
+        ff = FastForwarder(program, TripsConfig(), warm=True)
+        ff.run()
+        assert ff.fallback_blocks == 0
+        assert list(fast.regs) == list(full.regs) == list(ref.regs) \
+            == list(ff.regs)
+        assert fast.regs[9] == program.labels["call_b"]
+        assert fast.regs[10] == program.labels["tail"]
