@@ -82,10 +82,8 @@ class _Walker:
         # during the walk become a bisect instead of a scan over every
         # traced block (the walk visits O(blocks) commit edges, so the
         # naive scan was quadratic in run length)
-        committed = sorted((b.seq, b) for b in trace.blocks.values()
-                           if b.outcome == "committed")
-        self._committed_seqs = [seq for seq, _b in committed]
-        self._committed_blocks = [b for _seq, b in committed]
+        self._committed_blocks = trace.committed_blocks()
+        self._committed_seqs = [b.seq for b in self._committed_blocks]
 
     # Each visit method returns the next (kind, ...) hop or None (done).
     def walk(self) -> None:

@@ -61,7 +61,7 @@ class TripsChip:
                  config: Optional[TripsConfig] = None,
                  memory_mode: str = "shared_l2",
                  max_cycles: int = 5_000_000,
-                 telemetry=None):
+                 telemetry: bool = False):
         config = config or TripsConfig(perfect_l2=False)
         if config.perfect_l2:
             config = config.with_overrides(perfect_l2=False)

@@ -239,7 +239,7 @@ def check_engines(prog, nuca: bool = False, telemetry: bool = False,
                 stats[tier] = _unwrap(artifacts.production)
             else:
                 proc = TripsProcessor(program, config=config,
-                                      telemetry=telemetry or None)
+                                      telemetry=telemetry)
                 stats[tier] = proc.run().to_dict()
         except Exception as exc:
             out.append(_crash(prog.name, stage, exc))

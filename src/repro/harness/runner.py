@@ -67,13 +67,12 @@ def run_trips_workload(workload, level: str = "hand",
                        config: Optional[TripsConfig] = None,
                        trace: bool = False,
                        validate: bool = True,
-                       telemetry=None, size: int = 1) -> TripsRun:
+                       telemetry: bool = False, size: int = 1) -> TripsRun:
     """Compile and run one workload on tsim-proc.
 
-    ``telemetry`` may be True or a
-    :class:`~repro.telemetry.TelemetryConfig`; the recorder is then
-    reachable as ``run.proc.tel``.  ``size`` scales the input for the
-    workloads in :data:`~repro.workloads.registry.SCALABLE`.
+    With ``telemetry=True`` the recorder is reachable as
+    ``run.proc.tel``.  ``size`` scales the input for the workloads in
+    :data:`~repro.workloads.registry.SCALABLE`.
     """
     tir = _resolve(workload, size=size)
     compiled = compile_tir(tir, level=level)

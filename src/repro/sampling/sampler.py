@@ -216,7 +216,7 @@ def _phase_schedule(program, config: TripsConfig, sampling: SamplingConfig,
 
 def run_sampled_program(program, config: TripsConfig = PROTOTYPE,
                         sampling: SamplingConfig = SamplingConfig(),
-                        telemetry=None,
+                        telemetry: bool = False,
                         max_blocks: int = 500_000_000,
                         ) -> Tuple[SampledProcStats, FastForwarder,
                                    List[dict]]:
@@ -340,7 +340,7 @@ class SampledRun:
 def run_sampled_workload(workload, level: str = "tcc",
                          config: Optional[TripsConfig] = None,
                          sampling: SamplingConfig = SamplingConfig(),
-                         telemetry=None, validate: bool = True,
+                         telemetry: bool = False, validate: bool = True,
                          size: int = 1) -> SampledRun:
     """Compile and sample one workload, co-validating architectural
     outputs (from the fast-forwarder, which executes every block) against

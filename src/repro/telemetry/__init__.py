@@ -2,15 +2,16 @@
 
 The simulator's end-of-run aggregates (``ProcStats``) answer *how many*
 cycles a run took; this package answers *where they went* — the question
-Sections 4-5 of the paper are about.  When a
-:class:`~repro.telemetry.config.TelemetryConfig` is passed to
-:class:`~repro.uarch.proc.TripsProcessor` (or through
-``run_trips_workload(..., telemetry=...)``), a
-:class:`~repro.telemetry.recorder.TelemetryRecorder` rides along and
-records:
+Sections 4-5 of the paper are about.  When
+:class:`~repro.uarch.proc.TripsProcessor` is constructed with
+``telemetry=True`` (or through ``run_trips_workload(...,
+telemetry=True)``), a :class:`~repro.telemetry.recorder.TelemetryRecorder`
+rides along and records:
 
 * **block lifecycle spans** — fetch → dispatch → execute → commit → ack
-  per block, with the flush cause for squashed blocks,
+  per block, with the flush cause for squashed blocks.  These are the
+  processor's :class:`~repro.uarch.trace.BlockEvent` records, the same
+  ones the critical-path trace reads,
 * **per-tile cycle accounting** — every cycle of every tile classified
   as busy, one of six stall categories (waiting-operand,
   OPN-backpressure, GDN-backlog, LSQ-full, cache-miss,
@@ -23,11 +24,11 @@ records:
 * **NUCA/DRAM occupancy** — in-flight request counts over time and
   per-MT access totals.
 
-Every probe site in the core is guarded by a single
-``if self.tel is not None`` (or the tile-side ``proc.tel``), so a run
-without telemetry executes exactly the instruction stream it always did —
-the PR-3 fast path and the checked-in ``BENCH_engine.json`` numbers are
-unaffected.
+With tracing and telemetry off every probe site is one pointer
+compare: the five block lifecycle sites test for the block's record,
+which exists only when either is on, and every other site tests
+``self.tel`` (or the tile-side ``proc.tel``).  Probes record into side
+state only, so ``ProcStats`` are identical with telemetry on or off.
 
 Sinks: :mod:`repro.telemetry.perfetto` exports Chrome/Perfetto
 trace-event JSON (``chrome://tracing`` or https://ui.perfetto.dev),
@@ -37,7 +38,6 @@ and :class:`~repro.telemetry.recorder.TelemetrySummary` is the compact,
 JSON-round-trippable record that simlab caches alongside ``ProcStats``.
 """
 
-from .config import TelemetryConfig
 from .recorder import TelemetryRecorder, TelemetrySummary
 
-__all__ = ["TelemetryConfig", "TelemetryRecorder", "TelemetrySummary"]
+__all__ = ["TelemetryRecorder", "TelemetrySummary"]

@@ -89,11 +89,11 @@ def _window_counters(recorder: TelemetryRecorder) -> List[Dict]:
     n = -(-cycles // window)
     committed = [0] * n
     flushed = [0] * n
-    for span in recorder.block_spans.values():
-        if span.outcome == "committed" and span.commit_t >= 0:
-            committed[min(span.commit_t // window, n - 1)] += 1
-        elif span.outcome == "flushed" and span.flush_t >= 0:
-            flushed[min(span.flush_t // window, n - 1)] += 1
+    for block in recorder.blocks.values():
+        if block.outcome == "committed" and block.commit_t >= 0:
+            committed[min(block.commit_t // window, n - 1)] += 1
+        elif block.outcome == "flushed" and block.flush_t >= 0:
+            flushed[min(block.flush_t // window, n - 1)] += 1
     busy = [0] * n              # busy tile-cycles per window
     for timeline in recorder.timelines.values():
         for state, t0, t1 in timeline.runs:
@@ -130,7 +130,7 @@ def build_trace(recorder: TelemetryRecorder) -> Dict:
                                     _PID_CORE, tid))
     # -- block lifecycle tracks (one per frame) ------------------------
     by_frame: Dict[int, List] = {}
-    for span in recorder.block_spans.values():
+    for span in recorder.blocks.values():
         by_frame.setdefault(span.frame, []).append(span)
     for frame, spans in sorted(by_frame.items()):
         tid = _TID_FRAME + frame

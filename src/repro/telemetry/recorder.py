@@ -1,5 +1,9 @@
-"""The telemetry recorder: per-tile cycle accounting, block spans,
-micronet utilization, and memory-system occupancy.
+"""The telemetry recorder: per-tile cycle accounting, block lifecycle
+summaries, micronet utilization, and memory-system occupancy.
+
+Block lifecycles are not recorded here: the processor writes one
+:class:`~repro.uarch.trace.BlockEvent` per fetched block, shared with
+the critical-path trace, and the recorder reads those records.
 
 Cycle accounting works by classification, not sampling: at the end of
 every *stepped* cycle the recorder asks each tile for its state that
@@ -35,12 +39,13 @@ The stall taxonomy (Section 5.2's "where the cycles go" argument):
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from ..serialize import dataclass_from_dict, dataclass_to_dict
-from .config import TelemetryConfig
+
+if TYPE_CHECKING:       # repro.uarch imports this module
+    from ..uarch.trace import BlockEvent
 
 # ----------------------------------------------------------------------
 # tile-state taxonomy
@@ -83,40 +88,6 @@ class _Timeline:
         for state, t0, t1 in self.runs:
             out[state] = out.get(state, 0) + (t1 - t0)
         return out
-
-    def covered(self) -> int:
-        return sum(t1 - t0 for _, t0, t1 in self.runs)
-
-
-# ----------------------------------------------------------------------
-# block lifecycle spans
-# ----------------------------------------------------------------------
-@dataclass
-class BlockSpan:
-    """One block's trip through the fetch→...→ack protocol."""
-
-    uid: int
-    addr: int
-    seq: int
-    frame: int
-    fetch_t: int
-    dispatch_start: int
-    dispatch_done_t: int = -1
-    completed_t: int = -1
-    commit_t: int = -1
-    ack_t: int = -1
-    outcome: str = "inflight"      # committed | flushed | inflight
-    flush_reason: str = ""
-    flush_t: int = -1
-
-    def end_t(self) -> int:
-        """Last cycle this block occupied its frame (best known)."""
-        if self.ack_t >= 0:
-            return self.ack_t
-        if self.flush_t >= 0:
-            return self.flush_t
-        return max(self.fetch_t, self.dispatch_done_t, self.completed_t,
-                   self.commit_t)
 
 
 # ----------------------------------------------------------------------
@@ -282,21 +253,21 @@ class TelemetrySummary:
 class TelemetryRecorder:
     """Collects all probe events of one :class:`TripsProcessor` run.
 
-    Created and attached by the processor when it is constructed with a
-    telemetry config; tiles reach it as ``proc.tel``.  On the two-core
+    Created and attached by the processor when it is constructed with
+    ``telemetry=True``; tiles reach it as ``proc.tel``.  ``blocks`` is
+    the processor's block lifecycle record (``proc.block_events``, the
+    same dict as ``proc.trace.blocks`` when tracing).  On the two-core
     chip each core carries its own recorder; the shared memory system's
     OCN/DRAM probes attach to whichever recorder claims them first
     (core 0's, in construction order).
     """
 
-    def __init__(self, config: Optional[TelemetryConfig] = None):
-        self.config = config or TelemetryConfig()
+    def __init__(self):
         self.proc = None
         self.timelines: Dict[str, _Timeline] = {}
         self._tile_runs: List[Tuple[object, _Timeline]] = []
         self._gt_tl = _Timeline()
-        self.block_spans: Dict[int, BlockSpan] = {}
-        self._finished: deque = deque()
+        self.blocks: Dict[int, BlockEvent] = {}
         self.skips: List[Tuple[int, int]] = []
         self.opn = MeshTelemetry("OPN")
         self.ocn = MeshTelemetry("OCN")
@@ -307,6 +278,7 @@ class TelemetryRecorder:
     # -- wiring ---------------------------------------------------------
     def attach(self, proc) -> None:
         self.proc = proc
+        self.blocks = proc.block_events
         names_tiles = [(f"E{i}", et) for i, et in enumerate(proc.ets)]
         names_tiles += [(f"R{b}", rt) for b, rt in enumerate(proc.rts)]
         names_tiles += [(f"D{d}", dt) for d, dt in enumerate(proc.dts)]
@@ -316,24 +288,21 @@ class TelemetryRecorder:
             tl = _Timeline()
             self.timelines[name] = tl
             self._tile_runs.append((tile, tl))
-        if self.config.mesh:
-            proc.opn.telemetry = self.opn
-            self.opn.nodes = proc.opn.rows * proc.opn.cols
+        proc.opn.telemetry = self.opn
+        self.opn.nodes = proc.opn.rows * proc.opn.cols
         if proc.sysmem is not None:
-            if self.config.mesh and proc.sysmem.ocn.telemetry is None:
+            if proc.sysmem.ocn.telemetry is None:
                 proc.sysmem.ocn.telemetry = self.ocn
                 self.ocn.nodes = (proc.sysmem.ocn.rows
                                   * proc.sysmem.ocn.cols)
                 self._owns_ocn = True
-            if self.config.sysmem and proc.sysmem.telemetry is None:
+            if proc.sysmem.telemetry is None:
                 proc.sysmem.telemetry = self.mem
                 self._owns_mem = True
 
     # -- per-cycle tile accounting --------------------------------------
     def record_cycle(self, t: int) -> None:
         """Classify every tile's state for stepped cycle ``t``."""
-        if not self.config.tiles:
-            return
         t1 = t + 1
         for tile, tl in self._tile_runs:
             tl.add(tile.tel_state(t), t, t1)
@@ -345,54 +314,9 @@ class TelemetryRecorder:
         if t1 <= t0:
             return
         self.skips.append((t0, t1))
-        if not self.config.tiles:
-            return
         for tile, tl in self._tile_runs:
             tile.tel_account(tl, t0, t1)
         self.proc.tel_gt_account(self._gt_tl, t0, t1)
-
-    # -- block lifecycle -------------------------------------------------
-    def block_fetched(self, uid: int, addr: int, seq: int, frame: int,
-                      t: int, dispatch_start: int) -> None:
-        if not self.config.spans:
-            return
-        self.block_spans[uid] = BlockSpan(
-            uid=uid, addr=addr, seq=seq, frame=frame, fetch_t=t,
-            dispatch_start=dispatch_start)
-
-    def block_dispatch_done(self, uid: int, t: int) -> None:
-        span = self.block_spans.get(uid)
-        if span is not None:
-            span.dispatch_done_t = t
-
-    def block_completed(self, uid: int, t: int) -> None:
-        span = self.block_spans.get(uid)
-        if span is not None:
-            span.completed_t = t
-
-    def block_committed(self, uid: int, commit_t: int, ack_t: int) -> None:
-        span = self.block_spans.get(uid)
-        if span is not None:
-            span.commit_t = commit_t
-            span.ack_t = ack_t
-            span.outcome = "committed"
-            self._note_finished(uid)
-
-    def block_flushed(self, uid: int, reason: str, t: int) -> None:
-        span = self.block_spans.get(uid)
-        if span is not None:
-            span.outcome = "flushed"
-            span.flush_reason = reason
-            span.flush_t = t
-            self._note_finished(uid)
-
-    def _note_finished(self, uid: int) -> None:
-        limit = self.config.max_spans
-        if not limit:
-            return
-        self._finished.append(uid)
-        if len(self._finished) > limit:
-            self.block_spans.pop(self._finished.popleft(), None)
 
     # -- summary ---------------------------------------------------------
     def summary(self) -> TelemetrySummary:
@@ -409,13 +333,13 @@ class TelemetryRecorder:
                     idle += n
                 else:
                     stall_totals[state] += n
-        committed = [s for s in self.block_spans.values()
-                     if s.outcome == "committed"]
-        flushed = [s for s in self.block_spans.values()
-                   if s.outcome == "flushed"]
+        committed = [b for b in self.blocks.values()
+                     if b.outcome == "committed"]
+        flushed = [b for b in self.blocks.values()
+                   if b.outcome == "flushed"]
         blocks = {"committed": len(committed), "flushed": len(flushed)}
-        for span in flushed:
-            key = f"flushed_{span.flush_reason}"
+        for block in flushed:
+            key = f"flushed_{block.flush_reason}"
             blocks[key] = blocks.get(key, 0) + 1
         phases = {}
         full = [s for s in committed
@@ -445,7 +369,7 @@ class TelemetryRecorder:
             idle_cycles=idle,
             blocks=blocks,
             block_phases=phases,
-            opn=self.opn.summarize(cycles) if self.config.mesh else {},
+            opn=self.opn.summarize(cycles),
             ocn=self.ocn.summarize(cycles) if self._owns_ocn else {},
             dram=self.mem.summarize(cycles) if self._owns_mem else {},
             fast_forward={

@@ -31,21 +31,17 @@ class CacheBank:
     def _tag(self, address: int) -> int:
         return address // self.line_bytes
 
-    def lookup(self, address: int, touch: bool = True) -> bool:
+    def lookup(self, address: int) -> bool:
         """Hit test; promotes the line to MRU on hit."""
         lines = self._sets[self._index(address)]
         tag = self._tag(address)
         if tag in lines:
             self.hits += 1
-            if touch:
-                lines.remove(tag)
-                lines.insert(0, tag)
+            lines.remove(tag)
+            lines.insert(0, tag)
             return True
         self.misses += 1
         return False
-
-    def contains(self, address: int) -> bool:
-        return self._tag(address) in self._sets[self._index(address)]
 
     def fill(self, address: int) -> Optional[int]:
         """Install a line; returns the evicted line address, if any."""

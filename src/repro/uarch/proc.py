@@ -47,7 +47,6 @@ from ..isa import (
 from ..mem.backing import BackingStore
 from ..serialize import dataclass_from_dict, dataclass_to_dict
 from ..telemetry import recorder as _tel
-from ..telemetry.config import TelemetryConfig
 from ..telemetry.recorder import TelemetryRecorder
 from .caches import CacheBank
 from .config import PROTOTYPE, TripsConfig
@@ -141,6 +140,8 @@ class BlockInst:
     ack_t: int = -1
     fired: int = 0
     reads_count: int = 0
+    # lifecycle record (set at fetch when tracing or telemetry is on)
+    ev: Optional[BlockEvent] = None
 
 
 @dataclass
@@ -195,16 +196,16 @@ class TripsProcessor:
     def __init__(self, program: Program, config: TripsConfig = PROTOTYPE,
                  trace: bool = False, memory: Optional[BackingStore] = None,
                  sysmem=None, sysmem_port_base: int = 0,
-                 telemetry=None, checkpoint=None):
+                 telemetry: bool = False, checkpoint=None):
         """``memory``/``sysmem`` may be supplied externally to share them
         between the chip's two cores (see :class:`repro.chip.TripsChip`);
         ``sysmem_port_base`` selects which OCN ports this core's IT/DT
         pairs own (0 for processor 0, 4 for processor 1).  ``trace`` may
         be a pre-built :class:`Trace` (e.g. one with a ``max_blocks``
-        retention bound) instead of a bool.  ``telemetry`` enables the
-        :mod:`repro.telemetry` probe layer: pass ``True`` or a
-        :class:`~repro.telemetry.config.TelemetryConfig`; when left
-        ``None`` every probe site reduces to one pointer compare.
+        retention bound) instead of a bool.  ``telemetry=True`` enables
+        the :mod:`repro.telemetry` probe layer.  Both read one
+        :class:`~repro.uarch.trace.BlockEvent` per fetched block; with
+        both off every probe site reduces to one pointer compare.
         ``checkpoint`` resumes from a
         :class:`~repro.sampling.checkpoint.ArchCheckpoint` instead of the
         program entry: registers, memory and warm predictor/cache state
@@ -291,15 +292,19 @@ class TripsProcessor:
         self._pending_fetch_addr: Optional[int] = program.entry
         self._pending_fetch_cause: Tuple = ("init",)
 
-        # telemetry (None = every probe site is a single pointer compare)
+        # the block lifecycle records the trace and telemetry share
+        # (None = every lifecycle site is a single pointer compare)
+        self.block_events: Optional[Dict[int, BlockEvent]] = (
+            self.trace.blocks if self.trace is not None
+            else {} if telemetry else None)
+        # telemetry (None = every probe site is a single pointer compare);
+        # the lifecycle sites set _tel_fetch_t/_tel_commit_t with the record
         self.tel: Optional[TelemetryRecorder] = None
         self._tel_fetch_t = -1
         self._tel_commit_t = -1
         self._tel_gdn_blocked_t = -1
         if telemetry:
-            tel_config = telemetry if isinstance(telemetry, TelemetryConfig) \
-                else TelemetryConfig()
-            self.tel = TelemetryRecorder(tel_config)
+            self.tel = TelemetryRecorder()
             self.tel.attach(self)
 
         if checkpoint is not None:
@@ -734,12 +739,12 @@ class TripsProcessor:
         block.pred_ready_t = t + self.config.predict_cycles
 
         self._schedule_dispatch(block)
-        if self.trace is not None:
-            self.trace.blocks[uid] = BlockEvent(
-                uid=uid, addr=addr, seq=seq, cause=cause, fetch_t=t)
-        if self.tel is not None:
+        events = self.block_events
+        if events is not None:
+            block.ev = events[uid] = BlockEvent(
+                uid=uid, addr=addr, seq=seq, frame=frame, cause=cause,
+                fetch_t=t, dispatch_start=dispatch_start)
             self._tel_fetch_t = t
-            self.tel.block_fetched(uid, addr, seq, frame, t, dispatch_start)
 
     def _schedule_dispatch(self, block: BlockInst) -> None:
         """GDN streaming: header words to RTs, body rows to ETs."""
@@ -781,10 +786,9 @@ class TripsProcessor:
     def _dispatch_done(self, block: BlockInst) -> None:
         if block.uid not in self.live_uids:
             return
-        if self.trace is not None and block.uid in self.trace.blocks:
-            self.trace.blocks[block.uid].dispatch_done_t = self.cycle
-        if self.tel is not None:
-            self.tel.block_dispatch_done(block.uid, self.cycle)
+        ev = block.ev
+        if ev is not None:
+            ev.dispatch_done_t = self.cycle
         # blocks with no stores: the DTs learn the (empty) store mask from
         # the dispatched header and can signal store completion immediately
         self._check_stores_done(block)
@@ -866,12 +870,10 @@ class TripsProcessor:
                  (block.branch_t, ("branch", block.branch_key))]
         block.completed_t, reason = max(parts, key=lambda p: p[0])
         block.completed_t = max(block.completed_t, self.cycle)
-        if self.trace is not None and block.uid in self.trace.blocks:
-            ev = self.trace.blocks[block.uid]
+        ev = block.ev
+        if ev is not None:
             ev.completed_t = block.completed_t
             ev.complete_reason = reason
-        if self.tel is not None:
-            self.tel.block_completed(block.uid, block.completed_t)
 
     # ------------------------------------------------------------------
     # GT: commit (protocol phases 2 and 3)
@@ -912,14 +914,12 @@ class TripsProcessor:
         for lsid in block.decoded.store_lsids:
             self.store_arrivals.pop((block.seq, lsid), None)
         self.committed_seqs.add(block.seq)
-        if self.trace is not None and block.uid in self.trace.blocks:
-            ev = self.trace.blocks[block.uid]
+        ev = block.ev
+        if ev is not None:
             ev.commit_t = t
             ev.ack_t = block.ack_t
             ev.outcome = "committed"
-        if self.tel is not None:
             self._tel_commit_t = t
-            self.tel.block_committed(block.uid, t, block.ack_t)
         self.schedule(block.ack_t, lambda b=block: self._deallocate(b))
 
     def _deallocate(self, block: BlockInst) -> None:
@@ -1032,11 +1032,13 @@ class TripsProcessor:
             self.free_frames.add(block.frame)
             self.frame_freed[block.frame] = (t, None)
             self.stats.blocks_flushed += 1
-            if self.trace is not None and block.uid in self.trace.blocks:
-                self.trace.blocks[block.uid].outcome = "flushed"
-                self.trace.note_flushed(block.uid)
-            if self.tel is not None:
-                self.tel.block_flushed(block.uid, reason, t)
+            ev = block.ev
+            if ev is not None:
+                ev.outcome = "flushed"
+                ev.flush_reason = reason
+                ev.flush_t = t
+                if self.trace is not None:
+                    self.trace.note_flushed(block.uid)
         if doomed:
             # the doomed set is always a seq-contiguous suffix of the
             # (seq-ordered) window: truncate in place

@@ -1,7 +1,8 @@
 """Microarchitectural event trace for critical-path analysis.
 
 When tracing is enabled, tsim-proc records one :class:`InstEvent` per
-dynamic body instruction and one :class:`BlockEvent` per fetched block.
+dynamic body instruction and one :class:`BlockEvent` per fetched block
+(the same block record telemetry reads).
 :mod:`repro.analysis.critpath` walks these records backwards from the final
 commit, attributing every cycle of the program's critical path to the
 paper's Table 3 categories (Fields et al.'s methodology, Section 5.4).
@@ -51,22 +52,45 @@ class InstEvent:
 
 @dataclass
 class BlockEvent:
+    """One block's trip through the fetch→...→ack (or flush) protocol.
+
+    The processor writes this one record per fetched block, at fetch,
+    dispatch-done, complete, commit and flush; the critical-path walker
+    and telemetry both read it.
+    """
+
     uid: int
     addr: int
     seq: int
+    frame: int = -1
     cause: Tuple = ("init",)
     fetch_t: int = -1
+    dispatch_start: int = -1
     dispatch_done_t: int = -1
     completed_t: int = -1
     complete_reason: Tuple = ("unknown",)
     commit_t: int = -1
     ack_t: int = -1
     outcome: str = "inflight"      # committed | flushed | inflight
+    flush_reason: str = ""
+    flush_t: int = -1
+
+    def end_t(self) -> int:
+        """Last cycle this block occupied its frame (best known)."""
+        if self.ack_t >= 0:
+            return self.ack_t
+        if self.flush_t >= 0:
+            return self.flush_t
+        return max(self.fetch_t, self.dispatch_done_t, self.completed_t,
+                   self.commit_t)
 
 
 @dataclass
 class Trace:
     """All events of one tsim-proc run (enabled with ``trace=True``).
+
+    ``blocks`` is the processor's block lifecycle record; with telemetry
+    also on, the recorder reads the same dict.
 
     By default every event is kept for the whole run.  Long runs that
     only need the critical path can bound memory with ``max_blocks``:

@@ -13,7 +13,6 @@ import pytest
 
 from repro.chip import TripsChip
 from repro.compiler import compile_tir
-from repro.telemetry import TelemetryConfig
 from repro.telemetry.recorder import STATES
 from repro.uarch.config import TripsConfig
 from repro.uarch.proc import TripsProcessor
@@ -103,15 +102,6 @@ def test_block_spans_recorded():
     assert phases["lifetime"] >= phases["commit_to_ack"]
 
 
-def test_max_spans_bounds_block_spans():
-    program = compile_tir(get_workload("qr"), level="hand").program
-    proc = TripsProcessor(program, telemetry=TelemetryConfig(max_spans=16))
-    stats = proc.run()
-    # inflight blocks at halt ride on top of the finished-span ring
-    assert len(proc.tel.block_spans) <= 16 + 8
-    assert stats.blocks_committed > 16
-
-
 def test_opn_utilization_recorded():
     stats, summary = _run_with_tel("qr")
     opn = summary.opn
@@ -153,15 +143,3 @@ def test_chip_dual_recorder_cycles_sum():
     scan = run_chip(False)
     assert [core.tel.summary().tiles for core in chip.cores] \
         == [core.tel.summary().tiles for core in scan.cores]
-
-
-def test_telemetry_config_gates_sections():
-    program = compile_tir(get_workload("vadd"), level="hand").program
-    proc = TripsProcessor(
-        program, telemetry=TelemetryConfig(spans=False, mesh=False,
-                                           sysmem=False))
-    proc.run()
-    summary = proc.tel.summary()
-    assert summary.blocks == {"committed": 0, "flushed": 0}
-    assert summary.opn == {}
-    assert sum(summary.tiles["GT"].values()) == summary.cycles

@@ -116,5 +116,5 @@ def test_predict_cycles_reaches_dispatch(predict_cycles):
                           config=TripsConfig(predict_cycles=predict_cycles))
     proc.run()
     gaps = Counter(span.dispatch_start - span.fetch_t
-                   for span in proc.tel.block_spans.values())
+                   for span in proc.tel.blocks.values())
     assert gaps.most_common(1)[0][0] == predict_cycles + 2
