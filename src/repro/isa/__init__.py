@@ -28,6 +28,8 @@ from .block import (
     reg_bank,
 )
 from .program import EXIT_ADDRESS, Program, ProgramBuilder, ProgramError
+# imported for its effect: every Opcode member gets its ``alu`` evaluator
+from . import alu  # noqa: F401
 
 __all__ = [
     "ACCESS_SIZE", "BY_MNEMONIC", "Format", "OpClass", "Opcode",

@@ -2,9 +2,12 @@
 
 The execution tiles of the cycle simulator, the functional block simulator
 and the compiler's constant folder all call :func:`execute` so that results
-are bit-identical everywhere.  The arithmetic itself is delegated to
-:mod:`repro.tir.semantics`, the single source of truth for 64-bit operator
-behaviour.
+are bit-identical everywhere.  Each opcode carries its own evaluator,
+``Opcode.ADD.alu(inst, left, right)``, so evaluation costs one call and no
+table lookup.  An evaluator is bound to the :mod:`repro.tir.semantics`
+operator function the opcode names in :data:`_BINOP`, :data:`_IMMOP` or
+:data:`_UNOP`; that module is the single source of truth for 64-bit
+operator behaviour.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Optional
 from ..tir import semantics
 from ..tir.ir import MASK64, int_to_bits
 from .encoding import Instruction
-from .opcodes import OpClass, Opcode
+from .opcodes import Opcode
 
 #: TRIPS opcode -> TIR binary operator name.
 _BINOP = {
@@ -48,6 +51,41 @@ class AluError(ValueError):
     """An opcode reached the ALU that the ALU cannot evaluate."""
 
 
+def _binary(name: str):
+    fn = semantics.BINOPS[name]
+    return lambda inst, left, right: fn(left, right)
+
+
+def _immediate(name: str):
+    fn = semantics.BINOPS[name]
+    return lambda inst, left, right: fn(left, inst.imm)
+
+
+def _unary(name: str):
+    fn = semantics.UNOPS[name]
+    return lambda inst, left, right: fn(left)
+
+
+def _not_alu(op: Opcode):
+    def evaluate(inst, left, right):
+        raise AluError(f"ALU cannot execute {op.mnemonic}")
+    return evaluate
+
+
+_EVALUATORS = {
+    **{op: _binary(name) for op, name in _BINOP.items()},
+    **{op: _immediate(name) for op, name in _IMMOP.items()},
+    **{op: _unary(name) for op, name in _UNOP.items()},
+    Opcode.MOV: lambda inst, left, right: left & MASK64,
+    Opcode.MOVI: lambda inst, left, right: int_to_bits(inst.const),
+    Opcode.MOVIH: lambda inst, left, right:
+        ((left << 16) | (inst.const & 0xFFFF)) & MASK64,
+}
+for _op in Opcode:
+    _op.alu = _EVALUATORS.get(_op) or _not_alu(_op)
+del _op
+
+
 def execute(inst: Instruction, left: Optional[int] = None,
             right: Optional[int] = None) -> int:
     """Compute the result value of a non-memory, non-branch instruction.
@@ -56,20 +94,7 @@ def execute(inst: Instruction, left: Optional[int] = None,
     tokens; nullification is handled by the caller).  Loads, stores and
     branches have side effects and are executed by the tiles, not here.
     """
-    op = inst.opcode
-    if op in _BINOP:
-        return semantics.binop(_BINOP[op], left, right)
-    if op in _IMMOP:
-        return semantics.binop(_IMMOP[op], left, int_to_bits(inst.imm))
-    if op in _UNOP:
-        return semantics.unop(_UNOP[op], left)
-    if op is Opcode.MOV:
-        return left & MASK64
-    if op is Opcode.MOVI:
-        return int_to_bits(inst.const)
-    if op is Opcode.MOVIH:
-        return ((left << 16) | (inst.const & 0xFFFF)) & MASK64
-    raise AluError(f"ALU cannot execute {op.mnemonic}")
+    return inst.opcode.alu(inst, left, right)
 
 
 def effective_address(inst: Instruction, left: int) -> int:

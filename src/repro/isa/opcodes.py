@@ -153,14 +153,42 @@ class Opcode(enum.Enum):
     HALT = OpInfo("halt", Format.B, OpClass.BRANCH, 1, 0)  # stop simulation
 
     # Static properties (info, mnemonic, opclass, latency, num_operands,
-    # is_load/is_store/is_memory/is_branch, uses_fpu, format) are attached
-    # as plain member attributes below: Enum's ``.value`` goes through a
-    # DynamicClassAttribute descriptor on every access, which shows up in
-    # the simulator's station-wakeup and issue loops.
+    # is_load/is_store/is_memory/is_branch, uses_fpu, format, completion,
+    # access_size, sign_extends) are attached as plain member attributes
+    # below: Enum's ``.value`` goes through a DynamicClassAttribute
+    # descriptor on every access, which shows up in the simulator's
+    # station-wakeup and issue loops.
 
+
+#: ``Opcode.completion``: what an execution tile does with the result of
+#: an issued instruction (compute a value, emit null tokens, send a load
+#: or store to a data tile, or send the block's exit to the global tile)
+COMPLETE_ALU, COMPLETE_NULL, COMPLETE_LOAD, COMPLETE_STORE, \
+    COMPLETE_BRANCH = range(5)
+
+#: opcode -> 7-bit binary encoding, by declaration order.
+ENCODING: dict = {op: i for i, op in enumerate(Opcode)}
+#: 7-bit binary encoding -> opcode.
+DECODING: dict = {i: op for op, i in ENCODING.items()}
+
+#: width of a memory access in bytes, for load/store opcodes.
+ACCESS_SIZE = {
+    Opcode.LB: 1, Opcode.LBU: 1, Opcode.SB: 1,
+    Opcode.LH: 2, Opcode.LHU: 2, Opcode.SH: 2,
+    Opcode.LW: 4, Opcode.LWU: 4, Opcode.SW: 4,
+    Opcode.LD: 8, Opcode.SD: 8,
+}
+
+#: loads that sign-extend their result.
+SIGNED_LOADS = {Opcode.LB, Opcode.LH, Opcode.LW, Opcode.LD}
+
+_COMPLETION = {OpClass.NULLIFY: COMPLETE_NULL, OpClass.LOAD: COMPLETE_LOAD,
+               OpClass.STORE: COMPLETE_STORE, OpClass.BRANCH: COMPLETE_BRANCH}
 
 # Flatten each member's OpInfo onto the member itself.  ``Opcode.ADD.latency``
 # is then a single instance-dict lookup instead of two descriptor calls.
+# ``pipelined`` is False only for DIVS, whose unit the ET holds busy;
+# :mod:`repro.isa.alu` adds each member's ``alu`` evaluator.
 for _op in Opcode:
     _info = _op.value
     _op.info = _info
@@ -175,25 +203,12 @@ for _op in Opcode:
     _op.is_memory = _op.is_load or _op.is_store
     _op.is_branch = _info.opclass is OpClass.BRANCH
     _op.uses_fpu = _info.opclass is OpClass.FP
+    _op.completion = _COMPLETION.get(_info.opclass, COMPLETE_ALU)
+    _op.access_size = ACCESS_SIZE.get(_op, 0)
+    _op.sign_extends = _op in SIGNED_LOADS
 del _op, _info
 
-
-#: opcode -> 7-bit binary encoding, by declaration order.
-ENCODING: dict = {op: i for i, op in enumerate(Opcode)}
-#: 7-bit binary encoding -> opcode.
-DECODING: dict = {i: op for op, i in ENCODING.items()}
 #: mnemonic -> opcode, for the assembler.
 BY_MNEMONIC: dict = {op.mnemonic: op for op in Opcode}
-
-#: width of a memory access in bytes, for load/store opcodes.
-ACCESS_SIZE = {
-    Opcode.LB: 1, Opcode.LBU: 1, Opcode.SB: 1,
-    Opcode.LH: 2, Opcode.LHU: 2, Opcode.SH: 2,
-    Opcode.LW: 4, Opcode.LWU: 4, Opcode.SW: 4,
-    Opcode.LD: 8, Opcode.SD: 8,
-}
-
-#: loads that sign-extend their result.
-SIGNED_LOADS = {Opcode.LB, Opcode.LH, Opcode.LW, Opcode.LD}
 
 assert len(ENCODING) <= 128, "opcode field is 7 bits wide"

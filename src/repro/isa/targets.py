@@ -31,6 +31,15 @@ class OperandKind(enum.Enum):
         return {"LEFT": "l", "RIGHT": "r", "PRED": "p", "WRITE": "w"}[self.name]
 
 
+# ``kind.type_bits`` is the kind's two type bits already in place in the
+# nine-bit field, so ``kind.type_bits | slot`` is a target's encoding — a
+# plain member attribute, as on Opcode, because Enum's ``.value`` is a
+# descriptor call.
+for _kind in OperandKind:
+    _kind.type_bits = _kind.value << 7
+del _kind
+
+
 @dataclass(frozen=True, order=True)
 class Target:
     """One nine-bit target specifier: (slot, operand kind).
@@ -51,7 +60,7 @@ class Target:
 
     def encode(self) -> int:
         """Pack into the nine-bit field: type in bits [8:7], slot in [6:0]."""
-        return (self.kind.value << 7) | self.slot
+        return self.kind.type_bits | self.slot
 
     @classmethod
     def decode(cls, bits: int) -> "Target":

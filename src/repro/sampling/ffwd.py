@@ -54,9 +54,10 @@ MASK64 = 0xFFFFFFFFFFFFFFFF
 _SIGN = 0x8000000000000000
 
 #: FP opcodes whose IEEE-double bit casts are inlined into the compiled
-#: source instead of routed through ``semantics.binop`` — the dispatch
-#: chain plus per-call ``bits_to_float``/``float_to_bits`` round-trips
-#: is ~half the fast-forward time on FP-dense workloads (basefp01).
+#: source instead of routed through ``semantics.binop`` — that call
+#: (measured when it was an if-chain) plus per-call ``bits_to_float``/
+#: ``float_to_bits`` round-trips was ~half the fast-forward time on
+#: FP-dense workloads (basefp01).
 #: Python floats *are* C doubles, so ``+``/``-``/``*`` and the ordered
 #: comparisons (NaN-unordered, like the lambdas they replace) are
 #: bit-identical to the ``semantics`` path.  FDIV keeps the call: its

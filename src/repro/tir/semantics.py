@@ -44,85 +44,81 @@ def _srem(a: int, b: int) -> int:
     return a - _sdiv(a, b) * b
 
 
-_INT_BIN = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "and": lambda a, b: a & b,
-    "or": lambda a, b: a | b,
-    "xor": lambda a, b: a ^ b,
+def _sra(a: int, b: int) -> int:
+    a &= MASK64
+    return ((a - ((a >> 63) << 64)) >> (b & 63)) & MASK64
+
+
+def _ftoi(a: int) -> int:
+    f = bits_to_float(a)
+    if f != f or f in (float("inf"), float("-inf")):
+        return 0
+    return int_to_bits(int(f))
+
+
+# XOR with the sign bit turns a signed comparison of patterns into an
+# unsigned one.
+_SIGN = 1 << 63
+
+#: binary operator name -> its function on two 64-bit patterns.  Each
+#: function masks what it reads, so any Python int is a valid operand;
+#: the ISA's per-opcode ALU evaluators bind these functions directly.
+BINOPS = {
+    "add": lambda a, b: (a + b) & MASK64,
+    "sub": lambda a, b: (a - b) & MASK64,
+    "mul": lambda a, b: (a * b) & MASK64,
+    "and": lambda a, b: a & b & MASK64,
+    "or": lambda a, b: (a | b) & MASK64,
+    "xor": lambda a, b: (a ^ b) & MASK64,
+    "shl": lambda a, b: (a << (b & 63)) & MASK64,
+    "shr": lambda a, b: (a & MASK64) >> (b & 63),
+    "sra": _sra,
+    "div": lambda a, b: int_to_bits(_sdiv(bits_to_int(a), bits_to_int(b))),
+    "rem": lambda a, b: int_to_bits(_srem(bits_to_int(a), bits_to_int(b))),
+    "eq": lambda a, b: 1 if a & MASK64 == b & MASK64 else 0,
+    "ne": lambda a, b: 1 if a & MASK64 != b & MASK64 else 0,
+    "lt": lambda a, b: 1 if (a & MASK64) ^ _SIGN < (b & MASK64) ^ _SIGN else 0,
+    "le": lambda a, b: 1 if (a & MASK64) ^ _SIGN <= (b & MASK64) ^ _SIGN else 0,
+    "gt": lambda a, b: 1 if (a & MASK64) ^ _SIGN > (b & MASK64) ^ _SIGN else 0,
+    "ge": lambda a, b: 1 if (a & MASK64) ^ _SIGN >= (b & MASK64) ^ _SIGN else 0,
+    "ltu": lambda a, b: 1 if a & MASK64 < b & MASK64 else 0,
+    "geu": lambda a, b: 1 if a & MASK64 >= b & MASK64 else 0,
+    "fadd": lambda a, b: float_to_bits(bits_to_float(a) + bits_to_float(b)),
+    "fsub": lambda a, b: float_to_bits(bits_to_float(a) - bits_to_float(b)),
+    "fmul": lambda a, b: float_to_bits(bits_to_float(a) * bits_to_float(b)),
+    "fdiv": lambda a, b: float_to_bits(_fdiv(bits_to_float(a),
+                                             bits_to_float(b))),
+    "feq": lambda a, b: 1 if bits_to_float(a) == bits_to_float(b) else 0,
+    "fne": lambda a, b: 1 if bits_to_float(a) != bits_to_float(b) else 0,
+    "flt": lambda a, b: 1 if bits_to_float(a) < bits_to_float(b) else 0,
+    "fle": lambda a, b: 1 if bits_to_float(a) <= bits_to_float(b) else 0,
+    "fgt": lambda a, b: 1 if bits_to_float(a) > bits_to_float(b) else 0,
+    "fge": lambda a, b: 1 if bits_to_float(a) >= bits_to_float(b) else 0,
 }
 
-_CMP = {
-    "eq": lambda a, b: a == b,
-    "ne": lambda a, b: a != b,
-    "lt": lambda a, b: a < b,
-    "le": lambda a, b: a <= b,
-    "gt": lambda a, b: a > b,
-    "ge": lambda a, b: a >= b,
-}
-
-_FCMP = {
-    "feq": lambda a, b: a == b,
-    "fne": lambda a, b: a != b,
-    "flt": lambda a, b: a < b,
-    "fle": lambda a, b: a <= b,
-    "fgt": lambda a, b: a > b,
-    "fge": lambda a, b: a >= b,
-}
-
-_FBIN = {
-    "fadd": lambda a, b: a + b,
-    "fsub": lambda a, b: a - b,
-    "fmul": lambda a, b: a * b,
-    "fdiv": _fdiv,
+#: unary operator name -> its function on a 64-bit pattern.
+UNOPS = {
+    "not": lambda a: ~a & MASK64,
+    "neg": lambda a: -a & MASK64,
+    "itof": lambda a: float_to_bits(float(bits_to_int(a))),
+    "ftoi": _ftoi,
 }
 
 
 def binop(op: str, a: int, b: int) -> int:
     """Apply binary operator ``op`` to two 64-bit patterns."""
-    a &= MASK64
-    b &= MASK64
-    if op in _INT_BIN:
-        return _INT_BIN[op](a, b) & MASK64
-    if op in _CMP:
-        return 1 if _CMP[op](bits_to_int(a), bits_to_int(b)) else 0
-    if op == "ltu":
-        return 1 if a < b else 0
-    if op == "geu":
-        return 1 if a >= b else 0
-    if op == "shl":
-        return (a << (b & 63)) & MASK64
-    if op == "shr":
-        return a >> (b & 63)
-    if op == "sra":
-        return int_to_bits(bits_to_int(a) >> (b & 63))
-    if op == "div":
-        return int_to_bits(_sdiv(bits_to_int(a), bits_to_int(b)))
-    if op == "rem":
-        return int_to_bits(_srem(bits_to_int(a), bits_to_int(b)))
-    if op in _FBIN:
-        return float_to_bits(_FBIN[op](bits_to_float(a), bits_to_float(b)))
-    if op in _FCMP:
-        return 1 if _FCMP[op](bits_to_float(a), bits_to_float(b)) else 0
-    raise TirError(f"unknown binop {op!r}")
+    fn = BINOPS.get(op)
+    if fn is None:
+        raise TirError(f"unknown binop {op!r}")
+    return fn(a, b)
 
 
 def unop(op: str, a: int) -> int:
     """Apply unary operator ``op`` to a 64-bit pattern."""
-    a &= MASK64
-    if op == "not":
-        return a ^ MASK64
-    if op == "neg":
-        return (-a) & MASK64
-    if op == "itof":
-        return float_to_bits(float(bits_to_int(a)))
-    if op == "ftoi":
-        f = bits_to_float(a)
-        if f != f or f in (float("inf"), float("-inf")):
-            return 0
-        return int_to_bits(int(f))
-    raise TirError(f"unknown unop {op!r}")
+    fn = UNOPS.get(op)
+    if fn is None:
+        raise TirError(f"unknown unop {op!r}")
+    return fn(a)
 
 
 def truncate_load(bits: int, size: int, signed: bool) -> int:

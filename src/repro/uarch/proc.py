@@ -62,7 +62,28 @@ class ProcError(RuntimeError):
 
 # ----------------------------------------------------------------------
 class DecodedBlock:
-    """Pre-decoded block: dispatch schedule and lookup tables."""
+    """Pre-decoded block: GDN dispatch plan and lookup tables.
+
+    The GT dispatches a block as one pipelined GDN stream whose timing is
+    fixed by the block's layout (Section 4.1), so the whole stream is
+    decoded here, once per block address, into ``plan``: one entry per
+    arrival cycle, as ``(offset from dispatch_start, write declarations,
+    register reads, body instructions, ends dispatch)``, with
+
+    * a write declaration ``(bank, regs)`` for each RT: IT0's command
+      lands at ``t_d+1``, and bank b sits 2+b hops east;
+    * a register read ``(bank, read slot, read)``: header word j (4 per
+      cycle) carries read slot j, then hops to bank ``j // 8``;
+    * a body instruction ``(et, slot, inst)``: IT k+1 gets its command at
+      ``t_d + 2 + k`` and streams its row's instructions 4 per cycle,
+      each one hop east per column.
+
+    Within an entry the items are in stream order — declarations by
+    bank, reads by slot, instructions by row then slot — the order in
+    which same-cycle events would fire if each item were scheduled on
+    its own (``tests/uarch/test_dispatch_plan.py`` checks this).  The
+    last entry also ends the block's dispatch.
+    """
 
     def __init__(self, block: TripsBlock, addr: int):
         self.block = block
@@ -72,21 +93,41 @@ class DecodedBlock:
         self.store_lsids = frozenset(
             l for l in range(32) if (self.store_mask >> l) & 1)
         self.write_reg_by_slot = {s: w.reg for s, w in block.writes.items()}
-        self.write_regs_by_bank = [[] for _ in range(4)]
+        self.num_reads = len(block.reads)
+        # header words + instructions + the four RT declarations
+        self.gdn_messages = len(block.reads) + len(block.body) + 4
+        regs_by_bank: List[List[int]] = [[] for _ in range(4)]
         for slot, w in sorted(block.writes.items()):
-            self.write_regs_by_bank[slot // 8].append(w.reg)
-        self.reads_by_slot = sorted(block.reads.items())
-        # body instructions grouped by ET row for GDN streaming
-        self.rows: List[List[Tuple[int, object]]] = [[] for _ in range(4)]
+            regs_by_bank[slot // 8].append(w.reg)
+        rows: List[List[Tuple[int, object]]] = [[] for _ in range(4)]
         for slot, inst in sorted(block.body.items()):
-            et = slot % 16
-            self.rows[et // 4].append((slot, inst))
+            rows[(slot % 16) // 4].append((slot, inst))
+        # offset -> (declarations, reads, instructions), filled in stream
+        # order: all declarations, then reads, then instructions
+        groups: Dict[int, Tuple[list, list, list]] = {}
+        for bank, regs in enumerate(regs_by_bank):
+            groups.setdefault(2 + bank, ([], [], []))[0].append(
+                (bank, tuple(regs)))
+        for slot, read in sorted(block.reads.items()):
+            groups.setdefault(2 + slot // 4 + slot // 8 + 2,
+                              ([], [], []))[1].append((slot // 8, slot, read))
+        for row, insts in enumerate(rows):
+            for n, (slot, inst) in enumerate(insts):
+                et = slot % 16
+                groups.setdefault(2 + (row + 1) + 1 + n // 4 + (et % 4 + 1),
+                                  ([], [], []))[2].append((et, slot, inst))
+        #: offset of the last GDN arrival: dispatch is done at t_d + this
+        self.dispatch_last = max(groups)
+        self.plan = tuple(
+            (offset, tuple(decls), tuple(reads), tuple(insts),
+             offset == self.dispatch_last)
+            for offset, (decls, reads, insts) in sorted(groups.items()))
         # GDN occupancy: each IT streams 4 instructions/cycle, so the
         # dispatch pipe is busy for as long as the fullest IT streams
         # (8 cycles for a maximal 128-instruction block)
-        header_words = max([s + 1 for s, _ in self.reads_by_slot]
+        header_words = max([s + 1 for s in block.reads]
                            + [s + 1 for s in block.writes] + [0])
-        fullest = max([header_words] + [len(r) for r in self.rows])
+        fullest = max([header_words] + [len(r) for r in rows])
         self.dispatch_cycles = max(2, -(-fullest // 4))
 
 
@@ -261,10 +302,11 @@ class TripsProcessor:
         # the bench harness, the fast-path equivalence tests — skips the
         # decode warmup entirely
         self._decoded: Dict[int, DecodedBlock] = _decode_cache_for(program)
-        # timed-event calendar: per-cycle buckets (insertion order == the
-        # old (cycle, seq) heap order) plus a heap of distinct due times —
-        # an append per event instead of a tuple heap-push
-        self._ev_buckets: Dict[int, List[object]] = {}
+        # timed-event calendar: per-cycle buckets of ``(fn, args)`` entries
+        # (insertion order == the old (cycle, seq) heap order) plus a heap
+        # of distinct due times — an append per event instead of a tuple
+        # heap-push, and no closure per event
+        self._ev_buckets: Dict[int, List[Tuple]] = {}
         self._ev_times: List[int] = []
         self.trace: Optional[Trace] = trace if isinstance(trace, Trace) \
             else (Trace() if trace else None)
@@ -279,6 +321,9 @@ class TripsProcessor:
         self.next_seq = 0
         self.store_arrivals: Dict[Tuple[int, int], Tuple[int, int]] = {}
         self.committed_seqs: Set[int] = set()
+        # window blocks whose branch has not resolved (the speculation
+        # depth): +1 at fetch, -1 at resolution or flush
+        self.unresolved = 0
 
         self.dispatch_pipe_free = 0
         # fetch to first dispatch (Section 4.1): next-block prediction,
@@ -311,30 +356,21 @@ class TripsProcessor:
             checkpoint.apply(self)
 
     # ------------------------------------------------------------------
-    # coordinates / helpers used by the tiles
+    # helpers used by the tiles
     # ------------------------------------------------------------------
-    def et_coord(self, et: int) -> Tuple[int, int]:
-        return (1 + et // 4, 1 + et % 4)
-
-    def rt_coord(self, bank: int) -> Tuple[int, int]:
-        return (0, 1 + bank)
-
-    def dt_coord_for(self, address: int) -> Tuple[int, int]:
-        return (1 + self.dt_index(address), 0)
-
-    def dt_index(self, address: int) -> int:
-        return (address >> 6) % 4
-
-    def schedule(self, at_cycle: int, fn) -> None:
+    def schedule(self, at_cycle: int, fn, *args) -> None:
+        """Call ``fn(*args)`` in phase A of cycle ``at_cycle`` (at the
+        earliest the next cycle); same-cycle calls run in the order they
+        were scheduled."""
         floor = self.cycle + 1
         if at_cycle < floor:
             at_cycle = floor
         bucket = self._ev_buckets.get(at_cycle)
         if bucket is None:
-            self._ev_buckets[at_cycle] = [fn]
+            self._ev_buckets[at_cycle] = [(fn, args)]
             heapq.heappush(self._ev_times, at_cycle)
         else:
-            bucket.append(fn)
+            bucket.append((fn, args))
 
     def older_blocks(self, seq: int):
         """In-flight blocks older than ``seq``, youngest first."""
@@ -458,11 +494,10 @@ class TripsProcessor:
                         addr_t = t
                 elif tail.pred_for_next is not None:
                     target = tail.pred_for_next.target
-                    unresolved = sum(1 for b in self.window
-                                     if b.resolved_next is None)
                     if target != EXIT_ADDRESS \
                             and target in self.program.blocks \
-                            and unresolved <= self.config.speculative_blocks:
+                            and self.unresolved \
+                            <= self.config.speculative_blocks:
                         addr_t = max(t, tail.pred_ready_t)
             if addr_t is not None:
                 backlog_clear = self.dispatch_pipe_free - self._fetch_latency
@@ -519,8 +554,8 @@ class TripsProcessor:
             buckets = self._ev_buckets
             heappop = heapq.heappop
             while times and times[0] <= t:
-                for fn in buckets.pop(heappop(times)):
-                    fn()
+                for fn, args in buckets.pop(heappop(times)):
+                    fn(*args)
         # phase B: operand network deliveries
         if not self._fast or self.opn.delivery_pending:
             self._deliver_packets(t)
@@ -560,9 +595,9 @@ class TripsProcessor:
         if not self.sysmem.has_responses():
             return
         for dt in self.dts:
-            for fn in self.sysmem.take_responses(
+            for fn, args in self.sysmem.take_responses(
                     self.sysmem_port_base + dt.index):
-                fn()
+                fn(*args)
 
     def _deliver_packets(self, t: int) -> None:
         if self._fast:
@@ -658,9 +693,7 @@ class TripsProcessor:
             target = tail.pred_for_next.target
             if target == EXIT_ADDRESS:
                 return None                     # predicted program end
-            unresolved = sum(1 for b in self.window
-                             if b.resolved_next is None)
-            if unresolved > self.config.speculative_blocks:
+            if self.unresolved > self.config.speculative_blocks:
                 return None                     # speculation depth limit
             return target, ("pred", tail.uid, tail.pred_ready_t)
         return None
@@ -728,6 +761,7 @@ class TripsProcessor:
         self.window_by_uid[uid] = block
         self.window_by_seq[seq] = block
         self.live_uids.add(uid)
+        self.unresolved += 1
         self.stats.blocks_fetched += 1
 
         # prediction for this block's successor overlaps its dispatch
@@ -747,41 +781,37 @@ class TripsProcessor:
             self._tel_fetch_t = t
 
     def _schedule_dispatch(self, block: BlockInst) -> None:
-        """GDN streaming: header words to RTs, body rows to ETs."""
+        """GDN streaming: one timed event per arrival cycle of the block's
+        dispatch plan (see :class:`DecodedBlock`)."""
         t_d = block.dispatch_start
-        last = t_d
         decoded = block.decoded
-        # header: IT0's command at t_d+1; 4 words/cycle; word j covers
-        # read slot j and write slot j; bank b sits 2+b hops east.
-        for bank in range(4):
-            decl_t = t_d + 2 + bank
-            regs = decoded.write_regs_by_bank[bank]
-            self.schedule(decl_t, lambda b=bank, u=block.uid, r=regs,
-                          tt=decl_t: self.rts[b].declare_writes(u, r, tt))
-            last = max(last, decl_t)
-        self.stats.gdn_messages += (len(decoded.reads_by_slot)
-                                    + len(decoded.block.body) + 4)
-        for slot, read in decoded.reads_by_slot:
-            arrive = t_d + 2 + slot // 4 + (slot // 8) + 2
-            self.schedule(arrive, lambda s=slot, rd=read, u=block.uid,
-                          tt=arrive: self.rts[s // 8].dispatch_read(
-                              u, s, rd, tt))
-            block.reads_count += 1
-            last = max(last, arrive)
-        # body rows: IT (k+1) gets its command at t_d + 2 + k; then 4
-        # instructions per cycle, each one hop east per column.
-        for row in range(4):
-            base = t_d + 2 + (row + 1)
-            for n, (slot, inst) in enumerate(decoded.rows[row]):
-                et = slot % 16
-                col = et % 4
-                arrive = base + 1 + n // 4 + (col + 1)
-                self.schedule(arrive, lambda s=slot, i=inst, u=block.uid,
-                              q=block.seq, e=et, tt=arrive:
-                              self.ets[e].dispatch_inst(u, q, s, i, tt))
-                last = max(last, arrive)
-        block.dispatch_done = last
-        self.schedule(last, lambda b=block: self._dispatch_done(b))
+        self.stats.gdn_messages += decoded.gdn_messages
+        block.reads_count = decoded.num_reads
+        block.dispatch_done = t_d + decoded.dispatch_last
+        for group in decoded.plan:
+            self.schedule(t_d + group[0], self._dispatch_group, block, group)
+
+    def _dispatch_group(self, block: BlockInst, group: Tuple) -> None:
+        """Deliver one cycle's GDN arrivals of ``block``."""
+        _offset, decls, reads, insts, done = group
+        t = self.cycle
+        uid = block.uid
+        # reads are queued even for a flushed block: the RT drops them at
+        # its read port, where they still take their port cycle
+        live = uid in self.live_uids
+        if live:
+            for bank, regs in decls:
+                self.rts[bank].declare_writes(uid, regs, t)
+        for bank, slot, read in reads:
+            self.rts[bank].dispatch_read(uid, slot, read, t)
+        if live and insts:
+            release = ("dispatch", t)
+            seq = block.seq
+            ets = self.ets
+            for et, slot, inst in insts:
+                ets[et].dispatch_inst(uid, seq, slot, inst, t, release)
+        if done:
+            self._dispatch_done(block)
 
     def _dispatch_done(self, block: BlockInst) -> None:
         if block.uid not in self.live_uids:
@@ -843,6 +873,7 @@ class TripsProcessor:
         if block.resolved_next is not None:
             raise ProcError(f"block {block.addr:#x} fired two branches")
         block.resolved_next = msg.target
+        self.unresolved -= 1
         block.branch_exit = msg.exit_no
         block.branch_btype = msg.btype
         block.branch_t = t
@@ -908,9 +939,14 @@ class TripsProcessor:
             dt_ack = max(dt_ack, done + d + 1)
         block.ack_t = max(rt_ack, dt_ack)
         # the commit command also flushes the block's leftover speculative
-        # state in the ETs (un-issued predicated-path instructions)
+        # state in the ETs (un-issued predicated-path instructions); its
+        # candidates and unsent packets can only be on ETs holding its
+        # stations
+        uid = block.uid
+        uids = (uid,)
         for et in self.ets:
-            et.flush({block.uid})
+            if uid in et.stations:
+                et.flush(uids)
         for lsid in block.decoded.store_lsids:
             self.store_arrivals.pop((block.seq, lsid), None)
         self.committed_seqs.add(block.seq)
@@ -920,7 +956,7 @@ class TripsProcessor:
             ev.ack_t = block.ack_t
             ev.outcome = "committed"
             self._tel_commit_t = t
-        self.schedule(block.ack_t, lambda b=block: self._deallocate(b))
+        self.schedule(block.ack_t, self._deallocate, block)
 
     def _deallocate(self, block: BlockInst) -> None:
         if block.uid not in self.live_uids:
@@ -1025,6 +1061,8 @@ class TripsProcessor:
                 self.predictor.note_actual(restore_from.addr >> 7,
                                            restore_from.branch_exit)
         for block in doomed:
+            if block.resolved_next is None:
+                self.unresolved -= 1
             self.live_uids.discard(block.uid)
             self.window_by_uid.pop(block.uid, None)
             self.window_by_seq.pop(block.seq, None)

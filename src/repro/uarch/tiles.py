@@ -13,15 +13,52 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..isa import ACCESS_SIZE, MAX_MEM_OPS, OpClass, Opcode, OperandKind
-from ..isa.alu import execute
-from ..isa.opcodes import SIGNED_LOADS
+from ..isa import MAX_MEM_OPS, Opcode, OperandKind
+from ..isa.opcodes import (COMPLETE_ALU, COMPLETE_BRANCH, COMPLETE_NULL,
+                           COMPLETE_STORE)
 from ..telemetry import recorder as _tel
 from ..tir.semantics import truncate_load
 from .lsq import DependencePredictor, LoadStoreQueue
 from .mesh import Packet
+from .predictor import BT_BRANCH, BT_CALL, BT_RETURN
 
 MASK64 = (1 << 64) - 1
+
+# Enum class attributes are slow to look up; the hot paths use these.
+_LEFT, _RIGHT, _WRITE = OperandKind.LEFT, OperandKind.RIGHT, OperandKind.WRITE
+_HALT, _BRO, _CALLO, _RET = Opcode.HALT, Opcode.BRO, Opcode.CALLO, Opcode.RET
+
+
+# ----------------------------------------------------------------------
+# Tile layout on the 5x5 operand network: GT at (0, 0), RT bank b at
+# (0, 1+b), DT d at (1+d, 0), ET i at (1+i//4, 1+i%4).
+# ----------------------------------------------------------------------
+def et_coord(et: int) -> Tuple[int, int]:
+    return (1 + et // 4, 1 + et % 4)
+
+
+def rt_coord(bank: int) -> Tuple[int, int]:
+    return (0, 1 + bank)
+
+
+#: DT owning each 64-byte line interleave slot (``(address >> 6) % 4``)
+DT_COORDS = tuple((1 + d, 0) for d in range(4))
+
+
+def _route_to(kind: OperandKind, slot: int) -> Tuple:
+    if kind is _WRITE:
+        return (rt_coord(slot // 8), ("W", slot), kind)
+    return (et_coord(slot % 16), slot, kind)
+
+
+#: Where an operand for each of the 416 possible targets goes, indexed by
+#: the target's nine-bit encoding (``kind.type_bits | slot``): the
+#: destination tile's coordinate, the ``OperandMsg.target`` (body slot or
+#: ``("W", write slot)``) and the operand kind.  Body slot s lives on ET
+#: s % 16, write slot w on RT w // 8.  ET results, RT reads and DT load
+#: replies all route through this one table.
+ROUTES = tuple(_route_to(kind, slot) for kind in OperandKind
+               for slot in range(32 if kind is _WRITE else 128))
 
 
 # ----------------------------------------------------------------------
@@ -110,7 +147,7 @@ class ExecTile:
     def __init__(self, proc, index: int):
         self.proc = proc
         self.index = index
-        self.coord = (1 + index // 4, 1 + index % 4)
+        self.coord = et_coord(index)
         # block uid -> {slot -> _Station}: two-level so a block's stations
         # vanish in O(1) at commit/flush instead of an O(stations) sweep
         self.stations: Dict[int, Dict[object, _Station]] = {}
@@ -133,9 +170,10 @@ class ExecTile:
         return station
 
     def dispatch_inst(self, block_uid: int, seq: int, slot: int, inst,
-                      t: int) -> None:
-        if block_uid not in self.proc.live_uids:
-            return                       # flushed before its GDN stream ended
+                      t: int, release: Tuple) -> None:
+        """Place a GDN-delivered instruction in its station.  The caller
+        (the processor's dispatch group) has checked the block is live;
+        ``release`` is the group's shared ``("dispatch", t)``."""
         station = self._station(block_uid, slot)
         station.inst = inst
         station.seq = seq
@@ -143,26 +181,29 @@ class ExecTile:
         if self.proc.tel is not None and not station.ready():
             station.waiting = True
             self._tel_waiting += 1
-        self._maybe_ready((block_uid, slot), station, ("dispatch", t))
+        self._maybe_ready(block_uid, slot, station, release)
 
     def deliver_operand(self, msg: OperandMsg, t: int,
                         hops: int = 0, queue: int = 0, local: bool = False) -> None:
-        if msg.block_uid not in self.proc.live_uids:
+        block_uid = msg.block_uid
+        if block_uid not in self.proc.live_uids:
             return                       # stale packet from a flushed block
-        station = self._station(msg.block_uid, msg.target)
-        if msg.kind is OperandKind.LEFT:
+        station = self._station(block_uid, msg.target)
+        kind = msg.kind
+        if kind is _LEFT:
             station.left = msg.value
             station.left_null = msg.is_null
-        elif msg.kind is OperandKind.RIGHT:
+        elif kind is _RIGHT:
             station.right = msg.value
             station.right_null = msg.is_null
         else:
             station.pred = (msg.value, msg.is_null)
         release = ("local", msg.producer_key, t) if local else \
             ("operand", msg.producer_key, msg.send_t, hops, queue, t)
-        self._maybe_ready((msg.block_uid, msg.target), station, release)
+        self._maybe_ready(block_uid, msg.target, station, release)
 
-    def _maybe_ready(self, key, station: _Station, release) -> None:
+    def _maybe_ready(self, block_uid: int, slot: int, station: _Station,
+                     release) -> None:
         """Mark the station issue-ready if this arrival completed it.
 
         ``release`` records the last-arriving requirement, which is what
@@ -180,7 +221,7 @@ class ExecTile:
                 self._tel_waiting -= 1
             station.release = release
             station.ready_t = self.proc.cycle
-            self.candidates.add((station.seq, key[1], key[0], station))
+            self.candidates.add((station.seq, slot, block_uid, station))
 
     # -- issue ------------------------------------------------------------
     def tick(self, t: int) -> None:
@@ -191,13 +232,14 @@ class ExecTile:
             return
         best = min(candidates)
         station = best[3]
-        if station.inst.opcode is Opcode.DIVS and self.div_busy_until > t:
+        if self.div_busy_until > t and not station.inst.opcode.pipelined:
             # rare structural hazard: the oldest candidate is a divide
-            # waiting on the busy divider; issue the next-oldest
-            # non-divide instead (the original scan's behaviour)
+            # waiting on the busy divider (the one unpipelined unit);
+            # issue the next-oldest non-divide instead (the original
+            # scan's behaviour)
             best = None
             for cand in sorted(candidates):
-                if cand[3].inst.opcode is Opcode.DIVS:
+                if not cand[3].inst.opcode.pipelined:
                     continue
                 best = cand
                 break
@@ -205,7 +247,7 @@ class ExecTile:
                 return
             station = best[3]
         candidates.discard(best)
-        best_key = (best[2], best[1])
+        key = (best[2], best[1])
         inst = station.inst
         # Predicate check at issue: mismatch kills the instruction.
         if inst.pred is not None:
@@ -215,77 +257,73 @@ class ExecTile:
                 return
         station.fired = True
         self.issued += 1
-        if self.proc.tel is not None:
+        proc = self.proc
+        if proc.tel is not None:
             self._tel_issue_t = t
-        block = self.proc.window_by_uid.get(best_key[0])
+        block = proc.window_by_uid.get(key[0])
         if block is not None:
             block.fired += 1
-        latency = inst.opcode.latency
-        if inst.opcode is Opcode.DIVS:
+        op = inst.opcode
+        latency = op.latency
+        if not op.pipelined:
             self.div_busy_until = t + latency
-        if self.proc.trace is not None:
-            ev = self.proc.trace.inst(best_key, inst.opcode.mnemonic)
+        if proc.trace is not None:
+            ev = proc.trace.inst(key, op.mnemonic)
             ev.et = self.index
             ev.dispatch_t = station.dispatch_t
             ev.ready_t = station.ready_t
             ev.issue_t = t
             ev.complete_t = t + latency
             ev.release = station.release
-        self.proc.schedule(t + latency, lambda s=station, k=best_key:
-                           self._complete(k, s))
+        proc.schedule(t + latency, self._complete, key, station)
 
     # -- completion / result routing ---------------------------------------
     def _complete(self, key: Tuple[int, int], station: _Station) -> None:
-        t = self.proc.cycle
-        block_uid, slot = key
-        if block_uid not in self.proc.live_uids:
+        if key[0] not in self.proc.live_uids:
             return
+        t = self.proc.cycle
         inst = station.inst
-        opclass = inst.opcode.opclass
-        if opclass is OpClass.BRANCH:
+        op = inst.opcode
+        completion = op.completion
+        if completion == COMPLETE_ALU:
+            if station.left_null or station.right_null:
+                value, is_null = 0, True
+            else:
+                value = op.alu(inst, station.left, station.right)
+                is_null = False
+        elif completion == COMPLETE_NULL:
+            value, is_null = 0, True
+        elif completion == COMPLETE_BRANCH:
             self._complete_branch(key, station, t)
             return
-        if inst.opcode.is_memory:
+        else:
             self._complete_memory(key, station, t)
             return
-        if opclass is OpClass.NULLIFY:
-            value, is_null = 0, True
-        elif station.left_null or station.right_null:
-            value, is_null = 0, True
-        else:
-            value = execute(inst, station.left, station.right)
-            is_null = False
         for target in inst.targets:
             self._route(key, target, value, is_null, t)
 
     def _route(self, producer_key, target, value, is_null, t) -> None:
-        block_uid = producer_key[0]
-        if target.kind is OperandKind.WRITE:
-            msg = OperandMsg(block_uid, ("W", target.slot), target.kind,
-                             value, is_null, producer_key, t)
-            dest = self.proc.rt_coord(target.slot // 8)
-            self._send(msg, dest, t)
-            return
-        msg = OperandMsg(block_uid, target.slot, target.kind, value,
-                         is_null, producer_key, t)
-        consumer_et = target.slot % 16
-        if consumer_et == self.index:
+        dest, slot, kind = ROUTES[target.kind.type_bits | target.slot]
+        msg = OperandMsg(producer_key[0], slot, kind, value, is_null,
+                         producer_key, t)
+        if dest == self.coord:
             # local bypass: usable for issue in the next cycle
             self.deliver_operand(msg, t, local=True)
         else:
-            self._send(msg, self.proc.et_coord(consumer_et), t)
+            self._send(msg, dest, t)
 
     def _complete_memory(self, key, station: _Station, t: int) -> None:
         inst = station.inst
+        op = inst.opcode
         block = self.proc.window_by_uid.get(key[0])
         if block is None:
             return
-        if inst.opcode.is_store:
+        if op.completion == COMPLETE_STORE:
             is_null = station.left_null or station.right_null
             address = None if is_null else \
                 (station.left + inst.imm) & MASK64
             msg = MemRequest(key[0], block.seq, inst.lsid, True, address,
-                             ACCESS_SIZE[inst.opcode],
+                             op.access_size,
                              0 if is_null else station.right, is_null,
                              False, (), key, t)
         else:
@@ -298,11 +336,10 @@ class ExecTile:
                 return
             address = (station.left + inst.imm) & MASK64
             msg = MemRequest(key[0], block.seq, inst.lsid, False, address,
-                             ACCESS_SIZE[inst.opcode], 0, False,
-                             inst.opcode in SIGNED_LOADS,
+                             op.access_size, 0, False, op.sign_extends,
                              tuple(inst.targets), key, t)
-        dest = self.proc.dt_coord_for(0 if msg.address is None
-                                      else msg.address)
+        # nullified stores report to DT0
+        dest = DT_COORDS[0 if address is None else (address >> 6) % 4]
         self._send(msg, dest, t)
 
     def _complete_branch(self, key, station: _Station, t: int) -> None:
@@ -310,19 +347,19 @@ class ExecTile:
         block = self.proc.window_by_uid.get(key[0])
         if block is None:
             return
-        from .predictor import BT_BRANCH, BT_CALL, BT_RETURN
-        if inst.opcode is Opcode.HALT:
+        op = inst.opcode
+        if op is _HALT:
             target, btype = 0, BT_BRANCH
-        elif inst.opcode is Opcode.BRO:
+        elif op is _BRO:
             target, btype = (block.addr + inst.offset) & MASK64, BT_BRANCH
-        elif inst.opcode is Opcode.CALLO:
+        elif op is _CALLO:
             target, btype = (block.addr + inst.offset) & MASK64, BT_CALL
             if inst.targets:
                 link = (block.addr + block.decoded.block.size_bytes) & MASK64
                 self._route(key, inst.targets[0], link, False, t)
         else:  # BR / RET
             target = station.left & MASK64
-            btype = BT_RETURN if inst.opcode is Opcode.RET else BT_BRANCH
+            btype = BT_RETURN if op is _RET else BT_BRANCH
         msg = BranchMsg(key[0], inst.exit_no, target, btype, key, t)
         self._send(msg, self.proc.GT_COORD, t)
 
@@ -396,7 +433,7 @@ class RegTile:
     def __init__(self, proc, bank: int):
         self.proc = proc
         self.bank = bank
-        self.coord = (0, 1 + bank)
+        self.coord = rt_coord(bank)
         # block uid -> {reg -> _WriteEntry}
         self.write_queues: Dict[int, Dict[int, _WriteEntry]] = {}
         # reads waiting for an in-flight write: (block_uid, reg, read)
@@ -410,9 +447,8 @@ class RegTile:
         self._tel_active_t = -1    # telemetry: last cycle a read was served
 
     # -- dispatch ---------------------------------------------------------
-    def declare_writes(self, block_uid: int, regs: List[int], t: int) -> None:
-        if block_uid not in self.proc.live_uids:
-            return
+    def declare_writes(self, block_uid: int, regs, t: int) -> None:
+        """Open the write queue of a live block (the caller checks)."""
         queue = self.write_queues.setdefault(block_uid, {})
         for reg in regs:
             queue[reg] = _WriteEntry(reg)
@@ -510,14 +546,8 @@ class RegTile:
             ev.complete_t = t
             ev.release = release
         for target in read.targets:
-            if target.kind is OperandKind.WRITE:
-                dest = self.proc.rt_coord(target.slot // 8)
-                msg = OperandMsg(block_uid, ("W", target.slot), target.kind,
-                                 value, False, key, t)
-            else:
-                dest = self.proc.et_coord(target.slot % 16)
-                msg = OperandMsg(block_uid, target.slot, target.kind,
-                                 value, False, key, t)
+            dest, slot, kind = ROUTES[target.kind.type_bits | target.slot]
+            msg = OperandMsg(block_uid, slot, kind, value, False, key, t)
             if dest == self.coord:
                 self.deliver_write(msg, t)
                 continue
@@ -594,7 +624,7 @@ class DataTile:
     def __init__(self, proc, index: int):
         self.proc = proc
         self.index = index
-        self.coord = (1 + index, 0)
+        self.coord = DT_COORDS[index]
         cfg = proc.config
         from .caches import CacheBank
         self.cache = CacheBank(cfg.l1d_bank_kb * 1024, cfg.l1d_assoc,
@@ -738,11 +768,8 @@ class DataTile:
             line = msg.address - (msg.address % cfg.line_bytes)
             if self.proc.tel is not None:
                 self._tel_pending_loads += 1
-            self.proc.schedule(
-                t + cfg.l1_hit_cycles,
-                lambda m=msg, v=value, ln=line: self.proc.sysmem.request(
-                    self.proc.sysmem_port_base + self.index, ln, False,
-                    meta=lambda mm=m, vv=v: self._reply(mm, vv, True)))
+            self.proc.schedule(t + cfg.l1_hit_cycles, self._request_line,
+                               msg, value, line)
             if self.proc.trace is not None:
                 ev = self.proc.trace.inst(msg.producer_key)
                 ev.mem_hops = hops
@@ -758,9 +785,14 @@ class DataTile:
             ev.mem_latency = latency
         if self.proc.tel is not None and not hit:
             self._tel_pending_loads += 1
-        self.proc.schedule(t + latency,
-                           lambda m=msg, v=value, ms=not hit:
-                           self._reply(m, v, ms))
+        self.proc.schedule(t + latency, self._reply, msg, value, not hit)
+
+    def _request_line(self, msg: MemRequest, value: int, line: int) -> None:
+        """Send a missed load's line request into the NUCA system; its
+        response is the ``(fn, args)`` the processor calls on arrival."""
+        self.proc.sysmem.request(self.proc.sysmem_port_base + self.index,
+                                 line, False,
+                                 meta=(self._reply, (msg, value, True)))
 
     def _reply(self, msg: MemRequest, value: int, miss: bool = False) -> None:
         t = self.proc.cycle
@@ -771,15 +803,9 @@ class DataTile:
         if msg.block_uid not in self.proc.live_uids:
             return
         for target in msg.targets:
-            if target.kind is OperandKind.WRITE:
-                dest = self.proc.rt_coord(target.slot // 8)
-                out = OperandMsg(msg.block_uid, ("W", target.slot),
-                                 target.kind, value, False,
-                                 msg.producer_key, t)
-            else:
-                dest = self.proc.et_coord(target.slot % 16)
-                out = OperandMsg(msg.block_uid, target.slot, target.kind,
-                                 value, False, msg.producer_key, t)
+            dest, slot, kind = ROUTES[target.kind.type_bits | target.slot]
+            out = OperandMsg(msg.block_uid, slot, kind, value, False,
+                             msg.producer_key, t)
             self.outbox.append(Packet(src=self.coord, dest=dest, payload=out))
         self._drain_outbox()
 

@@ -1,11 +1,14 @@
 """Property and unit tests for the shared 64-bit operator semantics."""
 
+import itertools
 import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.tir import bits_to_float, bits_to_int, float_to_bits, int_to_bits
+from repro.tir import semantics
+from repro.tir.ir import MASK64
 from repro.tir.semantics import binop, truncate_load, unop
 
 u64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
@@ -124,3 +127,83 @@ class TestTruncateLoad:
             binop("bogus", 0, 0)
         with pytest.raises(Exception):
             unop("bogus", 0)
+
+
+# ----------------------------------------------------------------------
+# Reference: the masking if-chain that BINOPS/UNOPS replaced, written in
+# terms of signed integers and doubles rather than patterns, so a slip in
+# a table entry's masking or sign trick shows up as a mismatch.
+def _reference_binop(op, a, b):
+    a &= MASK64
+    b &= MASK64
+    sa, sb = bits_to_int(a), bits_to_int(b)
+    fa, fb = bits_to_float(a), bits_to_float(b)
+    ints = {"add": a + b, "sub": a - b, "mul": a * b, "and": a & b,
+            "or": a | b, "xor": a ^ b, "shl": a << (b & 63),
+            "shr": a >> (b & 63), "sra": sa >> (b & 63)}
+    if op in ints:
+        return int_to_bits(ints[op])
+    cmps = {"eq": sa == sb, "ne": sa != sb, "lt": sa < sb, "le": sa <= sb,
+            "gt": sa > sb, "ge": sa >= sb, "ltu": a < b, "geu": a >= b,
+            "feq": fa == fb, "fne": fa != fb, "flt": fa < fb,
+            "fle": fa <= fb, "fgt": fa > fb, "fge": fa >= fb}
+    if op in cmps:
+        return 1 if cmps[op] else 0
+    if op in ("div", "rem"):
+        if sb == 0:
+            return 0 if op == "div" else a
+        q = abs(sa) // abs(sb)
+        q = -q if (sa < 0) != (sb < 0) else q
+        return int_to_bits(q if op == "div" else sa - q * sb)
+    if op == "fdiv" and fb == 0.0:
+        if fa != fa or fa == 0.0:
+            return float_to_bits(float("nan"))
+        return float_to_bits(math.copysign(float("inf"), fa)
+                             * math.copysign(1.0, fb))
+    return float_to_bits({"fadd": lambda: fa + fb, "fsub": lambda: fa - fb,
+                          "fmul": lambda: fa * fb,
+                          "fdiv": lambda: fa / fb}[op]())
+
+
+def _reference_unop(op, a):
+    a &= MASK64
+    if op == "not":
+        return a ^ MASK64
+    if op == "neg":
+        return (-a) & MASK64
+    if op == "itof":
+        return float_to_bits(float(bits_to_int(a)))
+    f = bits_to_float(a)
+    if f != f or f in (float("inf"), float("-inf")):
+        return 0
+    return int_to_bits(int(f))
+
+
+#: 0, 1, -1, INT64_MIN/MAX, shift counts at and past 64, NaN/+-0.0/+-inf
+#: and ordinary doubles, plus unmasked Python ints (negative and wider
+#: than 64 bits) to check that every entry masks what it reads
+_GRID = [0, 1, int_to_bits(-1), 1 << 63, (1 << 63) - 1, 2, 7, 63, 64, 65,
+         127, float_to_bits(float("nan")), float_to_bits(-0.0),
+         float_to_bits(float("inf")), float_to_bits(float("-inf")),
+         float_to_bits(1.5), float_to_bits(-2.5), float_to_bits(1e300),
+         -1, -7, -(1 << 63), 1 << 64, (1 << 65) + 3]
+
+
+class TestOperatorTable:
+    def test_table_names_every_operator(self):
+        assert set(semantics.BINOPS) == {
+            "add", "sub", "mul", "and", "or", "xor", "shl", "shr", "sra",
+            "div", "rem", "eq", "ne", "lt", "le", "gt", "ge", "ltu", "geu",
+            "fadd", "fsub", "fmul", "fdiv",
+            "feq", "fne", "flt", "fle", "fgt", "fge"}
+        assert set(semantics.UNOPS) == {"not", "neg", "itof", "ftoi"}
+
+    @pytest.mark.parametrize("op", sorted(semantics.BINOPS))
+    def test_binop_matches_reference(self, op):
+        for a, b in itertools.product(_GRID, _GRID):
+            assert binop(op, a, b) == _reference_binop(op, a, b), (a, b)
+
+    @pytest.mark.parametrize("op", sorted(semantics.UNOPS))
+    def test_unop_matches_reference(self, op):
+        for a in _GRID:
+            assert unop(op, a) == _reference_unop(op, a), a
