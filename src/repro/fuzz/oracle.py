@@ -8,7 +8,9 @@ Three check families, each exercising a different seam of the stack:
 * ``engines`` — ProcStats equivalence.  The two cycle engines (the
   full-scan oracle and the fast engine) must produce byte-identical
   statistics, optionally with telemetry enabled and/or the NUCA memory
-  system (``perfect_l2=False``).
+  system (``perfect_l2=False``).  With telemetry on, their telemetry
+  summaries must match too, apart from the fast engine's own
+  ``fast_forward`` record.
 * ``asm`` — the assembler↔disassembler text round trip must reproduce
   the program's memory image exactly.
 
@@ -210,7 +212,9 @@ def _stats_diff(a: dict, b: dict, prefix: str = "") -> List[str]:
 
 def check_engines(prog, nuca: bool = False, telemetry: bool = False,
                   artifacts: Optional[Artifacts] = None) -> List[Divergence]:
-    """Both engine tiers must report identical ProcStats.
+    """Both engine tiers must report identical ProcStats and, with
+    ``telemetry``, identical telemetry summaries but for ``fast_forward``
+    (the record of the stretches only the fast engine skips).
 
     A tier whose configuration equals the production engine's, with
     telemetry off, takes ``arch:cycle``'s run from ``artifacts`` when
@@ -228,6 +232,7 @@ def check_engines(prog, nuca: bool = False, telemetry: bool = False,
         return [_crash(prog.name, "engines:compile", exc)]
 
     stats: Dict[str, dict] = {}
+    summaries: Dict[str, dict] = {}
     for tier, overrides in ENGINE_TIERS.items():
         stage = f"engines:{tier}{suffix}"
         config = TripsConfig(**overrides)
@@ -241,15 +246,20 @@ def check_engines(prog, nuca: bool = False, telemetry: bool = False,
                 proc = TripsProcessor(program, config=config,
                                       telemetry=telemetry)
                 stats[tier] = proc.run().to_dict()
+                if telemetry:
+                    summaries[tier] = proc.tel.summary().to_dict()
+                    del summaries[tier]["fast_forward"]
         except Exception as exc:
             out.append(_crash(prog.name, stage, exc))
 
-    if "full-scan" in stats and "fast" in stats:
-        diffs = _stats_diff(stats["full-scan"], stats["fast"])
-        if diffs:
-            out.append(Divergence(
-                prog.name, f"engines:fast{suffix}",
-                "stats diverge from full-scan: " + "; ".join(diffs)))
+    for what, records in (("stats diverge", stats),
+                          ("telemetry summary diverges", summaries)):
+        if "full-scan" in records and "fast" in records:
+            diffs = _stats_diff(records["full-scan"], records["fast"])
+            if diffs:
+                out.append(Divergence(
+                    prog.name, f"engines:fast{suffix}",
+                    f"{what} from full-scan: " + "; ".join(diffs)))
     return out
 
 

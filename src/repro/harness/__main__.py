@@ -13,7 +13,6 @@ Usage::
                                 [--phase-windows N] [--max-phases K]
                                 [--warm-horizon B]]
     python -m repro.harness sbench [--smoke] [--out FILE]
-                                   [--baseline FILE]
     python -m repro.harness inspect <workload> [--level hand|tcc]
                                     [--mem l2perfect|nuca]
                                     [--perfetto out.json] [--json]
@@ -86,10 +85,6 @@ def main(argv=None) -> int:
                          help="best-of-N timing per engine (default 2)")
     bench_p.add_argument("--out", default="BENCH_engine.json", metavar="FILE",
                          help="JSON report path (default BENCH_engine.json)")
-    bench_p.add_argument("--baseline", default=None, metavar="FILE",
-                         help="earlier BENCH_engine.json to diff against: "
-                         "prints per-case and geomean throughput deltas "
-                         "and exits 1 on a >10%% geomean drop")
     bench_p.add_argument("--json", action="store_true",
                          help="emit the report on stdout as well")
     prof_p = sub.add_parser(
@@ -144,10 +139,6 @@ def main(argv=None) -> int:
                       help="~10x smaller sizes for CI")
     sb_p.add_argument("--out", default="BENCH_sampling.json", metavar="FILE",
                       help="JSON report path (default BENCH_sampling.json)")
-    sb_p.add_argument("--baseline", default=None, metavar="FILE",
-                      help="earlier BENCH_sampling.json to diff against: "
-                      "exits 1 on a >10%% geomean speedup drop or "
-                      "realized-error growth past the target")
     sb_p.add_argument("--json", action="store_true",
                       help="emit the report on stdout as well")
     ins_p = sub.add_parser(
@@ -197,13 +188,11 @@ def main(argv=None) -> int:
         from .bench import run_bench
         report = run_bench(smoke=args.smoke, repeat=args.repeat,
                            workloads=args.workloads or None, out=args.out,
-                           baseline=args.baseline,
                            log=lambda message: print(message,
                                                      file=sys.stderr))
         if args.json:
             print(json.dumps(report, indent=2))
-        if not report["equivalent"] \
-                or report.get("baseline_delta", {}).get("regressed"):
+        if not report["equivalent"]:
             return 1
     elif args.command == "profile":
         from .profile import profile_workload
@@ -275,12 +264,10 @@ def main(argv=None) -> int:
     elif args.command == "sbench":
         from .sbench import run_sampling_bench
         report = run_sampling_bench(
-            smoke=args.smoke, out=args.out, baseline=args.baseline,
+            smoke=args.smoke, out=args.out,
             log=lambda message: print(message, file=sys.stderr))
         if args.json:
             print(json.dumps(report, indent=2))
-        if report.get("baseline_delta", {}).get("regressed"):
-            return 1
         if not args.smoke and not report["meets_targets"]:
             return 1
     elif args.command == "inspect":

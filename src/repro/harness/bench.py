@@ -26,7 +26,6 @@ import json
 import math
 import platform
 import subprocess
-import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
@@ -80,81 +79,9 @@ def _timed_run(program, config: TripsConfig,
     return stats, best
 
 
-#: regression gate: fail when the matched-case geomean fast-engine
-#: throughput drops below this fraction of the baseline report's
-REGRESSION_THRESHOLD = 0.90
-
-
-def compare_to_baseline(report: Dict, baseline: Dict, log=None) -> Dict:
-    """Per-case and geomean throughput deltas against an earlier report.
-
-    Cases are matched on (workload, level, mem); the verdict's
-    ``regressed`` flag trips when the geomean fast-engine throughput
-    over the matched cases drops more than 10% below the baseline
-    (:data:`REGRESSION_THRESHOLD`).  Baselines from a different host are
-    still compared — the note in the log is the reader's cue that
-    absolute deltas may reflect hardware, not code.
-    """
-    def say(message: str) -> None:
-        if log is not None:
-            log(message)
-
-    base_rows = {(r["workload"], r["level"], r["mem"]): r
-                 for r in baseline.get("results", [])}
-    rows: List[Dict] = []
-    ratios: List[float] = []
-    skipped: List[str] = []
-    for row in report["results"]:
-        case = (row["workload"], row["level"], row["mem"])
-        base = base_rows.get(case)
-        if base is None or not base.get("fast_kcycles_per_s"):
-            # an older baseline predating a workload (or recorded with a
-            # zero/absent throughput) is not an error: warn and compare
-            # the cases both reports actually share
-            skipped.append("{}@{}/{}".format(*case))
-            say(f"warning: no baseline for {skipped[-1]} — skipped")
-            continue
-        ratio = row["fast_kcycles_per_s"] / base["fast_kcycles_per_s"]
-        ratios.append(ratio)
-        rows.append({
-            "workload": row["workload"], "level": row["level"],
-            "mem": row["mem"],
-            "baseline_kcycles_per_s": base["fast_kcycles_per_s"],
-            "fast_kcycles_per_s": row["fast_kcycles_per_s"],
-            "ratio": round(ratio, 3),
-        })
-        say(f"{row['workload']:>10s} @ {row['level']:<4s} "
-            f"{row['mem']:<9s} base {base['fast_kcycles_per_s']:8.1f} "
-            f"now {row['fast_kcycles_per_s']:8.1f} kcyc/s   x{ratio:.3f}")
-    geomean = _geomean(ratios)
-    regressed = bool(ratios) and geomean < REGRESSION_THRESHOLD
-    verdict = {
-        "baseline_git_rev": baseline.get("git_rev", "unknown"),
-        "baseline_host": baseline.get("host", "unknown"),
-        "baseline_created_utc": baseline.get("created_utc", "unknown"),
-        "matched_cases": len(rows),
-        "skipped_cases": len(skipped),
-        "skipped": skipped,
-        "geomean_ratio": round(geomean, 3) if ratios else None,
-        "threshold": REGRESSION_THRESHOLD,
-        "regressed": regressed,
-        "rows": rows,
-    }
-    say(f"baseline delta: geomean x{geomean:.3f} over {len(rows)} "
-        f"matched cases (threshold x{REGRESSION_THRESHOLD:.2f})"
-        + (f", {len(skipped)} skipped" if skipped else "")
-        + ("   REGRESSION" if regressed else ""))
-    if baseline.get("host") not in (None, report.get("host")):
-        say(f"note: baseline was recorded on host "
-            f"{baseline.get('host')!r}; absolute deltas may reflect "
-            f"hardware, not code")
-    return verdict
-
-
 def run_bench(smoke: bool = False, repeat: int = 2,
               workloads: Optional[Sequence[str]] = None,
               out: Optional[str] = "BENCH_engine.json",
-              baseline: Optional[str] = None,
               log=None) -> Dict:
     """Run the engine benchmark; returns (and optionally writes) the report."""
     def say(message: str) -> None:
@@ -220,11 +147,6 @@ def run_bench(smoke: bool = False, repeat: int = 2,
     say(f"geomean speedup x{geomean:.2f} over {len(results)} cases "
         f"({', '.join(f'{mem} x{value:.2f}' for mem, value in by_mem.items())})"
         + ("" if not mismatches else f"; MISMATCHES: {mismatches}"))
-    if baseline:
-        with open(baseline) as fh:
-            base_report = json.load(fh)
-        report["baseline_delta"] = compare_to_baseline(report, base_report,
-                                                       log=log)
     if out:
         with open(out, "w") as fh:
             json.dump(report, fh, indent=2)
@@ -263,29 +185,3 @@ def _geomean(values: List[float]) -> float:
     if not positive:
         return 0.0
     return math.exp(sum(math.log(v) for v in positive) / len(positive))
-
-
-def main(argv=None) -> int:
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.bench",
-        description="Engine throughput: fast path vs. escape hatch.")
-    parser.add_argument("workloads", nargs="*", default=None)
-    parser.add_argument("--smoke", action="store_true")
-    parser.add_argument("--repeat", type=int, default=2)
-    parser.add_argument("--out", default="BENCH_engine.json")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="earlier BENCH_engine.json to diff against; "
-                        "exits 1 on a >10%% geomean throughput drop")
-    args = parser.parse_args(argv)
-    report = run_bench(smoke=args.smoke, repeat=args.repeat,
-                       workloads=args.workloads or None, out=args.out,
-                       baseline=args.baseline,
-                       log=lambda message: print(message, file=sys.stderr))
-    if report.get("baseline_delta", {}).get("regressed"):
-        return 1
-    return 0 if report["equivalent"] else 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

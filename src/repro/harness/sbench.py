@@ -29,17 +29,12 @@ sampling note.
 
 ``--smoke`` shrinks the sizes ~10x for CI — the error bounds still hold
 there but the speedup shrinks with the coverage ratio, so the smoke
-tier records speedups without asserting the 20x target.  ``--baseline``
-diffs against an earlier report (mirroring ``bench --baseline``): the
-verdict flags a >10% geomean effective-speedup drop or realized-error
-growth past the error target.
+tier records speedups without asserting the 20x target.
 """
 
 from __future__ import annotations
 
 import json
-import math
-import sys
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sampling import SamplingConfig
@@ -95,96 +90,10 @@ GEOMEAN_TARGET = 28.0
 ERROR_TARGET_PCT = 1.0
 MIN_PASSING_CASES = 5
 
-#: a run regresses against ``--baseline`` when its geomean effective
-#: speedup over the matched cases drops below this fraction of the
-#: baseline's (mirrors ``bench.REGRESSION_THRESHOLD``).
-REGRESSION_THRESHOLD = 0.90
-
-
-def compare_to_sampling_baseline(report: Dict, baseline: Dict,
-                                 log=None) -> Dict:
-    """Per-case and geomean speedup/error deltas against an earlier report.
-
-    Cases are matched on (workload, size, level).  The verdict's
-    ``regressed`` flag trips on either failure mode sampling can have:
-    the geomean effective speedup dropping more than 10% below the
-    baseline (:data:`REGRESSION_THRESHOLD` — the optimization eroded),
-    or any matched case whose realized cycles error grew past
-    :data:`ERROR_TARGET_PCT` when the baseline's was within it (the
-    estimate broke).  Wall-clock ratios from a different host may
-    reflect hardware, not code — the log note is the reader's cue.
-    """
-    def say(message: str) -> None:
-        if log is not None:
-            log(message)
-
-    base_rows = {(r["workload"], r["size"], r["level"]): r
-                 for r in baseline.get("results", [])}
-    rows: List[Dict] = []
-    ratios: List[float] = []
-    skipped: List[str] = []
-    error_growth: List[str] = []
-    for row in report["results"]:
-        case = (row["workload"], row["size"], row["level"])
-        base = base_rows.get(case)
-        if base is None or not base.get("effective_speedup"):
-            skipped.append("{}x{}@{}".format(*case))
-            say(f"warning: no baseline for {skipped[-1]} — skipped")
-            continue
-        ratio = row["effective_speedup"] / base["effective_speedup"]
-        ratios.append(ratio)
-        err_now = abs(row["cycles_err_pct"])
-        err_base = abs(base["cycles_err_pct"])
-        grew = err_now > ERROR_TARGET_PCT and err_base <= ERROR_TARGET_PCT
-        if grew:
-            error_growth.append("{}x{}@{}".format(*case))
-        rows.append({
-            "workload": row["workload"], "size": row["size"],
-            "level": row["level"],
-            "baseline_speedup": base["effective_speedup"],
-            "effective_speedup": row["effective_speedup"],
-            "ratio": round(ratio, 3),
-            "baseline_cycles_err_pct": base["cycles_err_pct"],
-            "cycles_err_pct": row["cycles_err_pct"],
-            "error_grew": grew,
-        })
-        say(f"{row['workload']:>10s}x{row['size']:<5d} "
-            f"base x{base['effective_speedup']:5.1f} "
-            f"now x{row['effective_speedup']:5.1f}   x{ratio:.3f}  "
-            f"err {err_base:.2f}% -> {err_now:.2f}%"
-            + ("   ERROR GREW" if grew else ""))
-    geomean = _geomean(ratios)
-    regressed = (bool(ratios) and geomean < REGRESSION_THRESHOLD
-                 or bool(error_growth))
-    verdict = {
-        "baseline_git_rev": baseline.get("git_rev", "unknown"),
-        "baseline_host": baseline.get("host", "unknown"),
-        "baseline_created_utc": baseline.get("created_utc", "unknown"),
-        "matched_cases": len(rows),
-        "skipped_cases": len(skipped),
-        "skipped": skipped,
-        "geomean_ratio": round(geomean, 3) if ratios else None,
-        "threshold": REGRESSION_THRESHOLD,
-        "error_growth_cases": error_growth,
-        "regressed": regressed,
-        "rows": rows,
-    }
-    say(f"baseline delta: geomean x{geomean:.3f} over {len(rows)} "
-        f"matched cases (threshold x{REGRESSION_THRESHOLD:.2f})"
-        + (f", {len(skipped)} skipped" if skipped else "")
-        + (f", error grew on {len(error_growth)}" if error_growth else "")
-        + ("   REGRESSION" if regressed else ""))
-    if baseline.get("host") not in (None, report.get("host")):
-        say(f"note: baseline was recorded on host "
-            f"{baseline.get('host')!r}; speedup deltas may reflect "
-            f"hardware, not code")
-    return verdict
-
 
 def run_sampling_bench(smoke: bool = False,
                        cases: Optional[Sequence] = None,
                        out: Optional[str] = "BENCH_sampling.json",
-                       baseline: Optional[str] = None,
                        log=None) -> Dict:
     """Run the sampled-vs-full benchmark; returns (and writes) the report."""
     def say(message: str) -> None:
@@ -245,39 +154,9 @@ def run_sampling_bench(smoke: bool = False,
         f"{passing}/{len(rows)} cases meet both targets"
         + ("" if smoke else
            ("   MEETS TARGETS" if meets else "   MISSES TARGETS")))
-    if baseline:
-        with open(baseline) as fh:
-            base_report = json.load(fh)
-        report["baseline_delta"] = compare_to_sampling_baseline(
-            report, base_report, log=log)
     if out:
         with open(out, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
         say(f"wrote {out}")
     return report
-
-
-def main(argv=None) -> int:
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.sbench",
-        description="Sampled vs. full simulation on scaled workloads.")
-    parser.add_argument("--smoke", action="store_true",
-                        help="~10x smaller sizes for CI")
-    parser.add_argument("--out", default="BENCH_sampling.json")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="earlier BENCH_sampling.json to diff against")
-    args = parser.parse_args(argv)
-    report = run_sampling_bench(
-        smoke=args.smoke, out=args.out, baseline=args.baseline,
-        log=lambda message: print(message, file=sys.stderr))
-    if report.get("baseline_delta", {}).get("regressed"):
-        return 1
-    if not args.smoke and not report["meets_targets"]:
-        return 1
-    return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -100,14 +100,11 @@ class WormholeMesh:
 
     def __init__(self, rows: int, cols: int, vcs: int = 1,
                  queue_depth: int = 2, lanes: int = 1,
-                 route_order: str = "row_first", active_set: bool = True):
-        if route_order not in ("row_first", "col_first"):
-            raise ValueError(f"bad route order {route_order!r}")
+                 active_set: bool = True):
         self.rows = rows
         self.cols = cols
         self.vcs = vcs
         self.lanes = lanes
-        self.route_order = route_order
         #: False = the escape-hatch engine: scan every router every cycle
         #: (the original algorithm), for timing cross-validation
         self.active_set = active_set
@@ -212,16 +209,10 @@ class WormholeMesh:
     # ------------------------------------------------------------------
     def _next_hop(self, at: Coord, dest: Coord) -> int:
         row, col = at
-        if self.route_order == "row_first":
-            if row != dest[0]:
-                return _SOUTH if dest[0] > row else _NORTH
-            if col != dest[1]:
-                return _EAST if dest[1] > col else _WEST
-        else:
-            if col != dest[1]:
-                return _EAST if dest[1] > col else _WEST
-            if row != dest[0]:
-                return _SOUTH if dest[0] > row else _NORTH
+        if row != dest[0]:
+            return _SOUTH if dest[0] > row else _NORTH
+        if col != dest[1]:
+            return _EAST if dest[1] > col else _WEST
         return _LOCAL   # at destination: eject
 
     @staticmethod

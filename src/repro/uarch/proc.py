@@ -315,12 +315,10 @@ class TripsProcessor:
         self.window: List[BlockInst] = []       # ordered by seq
         self.window_by_uid: Dict[int, BlockInst] = {}
         self.window_by_seq: Dict[int, BlockInst] = {}
-        self.live_uids: Set[int] = set()
         self.free_frames = set(range(config.max_blocks_in_flight))
         self.next_uid = 0
         self.next_seq = 0
         self.store_arrivals: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        self.committed_seqs: Set[int] = set()
         # window blocks whose branch has not resolved (the speculation
         # depth): +1 at fetch, -1 at resolution or flush
         self.unresolved = 0
@@ -760,7 +758,6 @@ class TripsProcessor:
         self.window.append(block)
         self.window_by_uid[uid] = block
         self.window_by_seq[seq] = block
-        self.live_uids.add(uid)
         self.unresolved += 1
         self.stats.blocks_fetched += 1
 
@@ -798,7 +795,7 @@ class TripsProcessor:
         uid = block.uid
         # reads are queued even for a flushed block: the RT drops them at
         # its read port, where they still take their port cycle
-        live = uid in self.live_uids
+        live = uid in self.window_by_uid
         if live:
             for bank, regs in decls:
                 self.rts[bank].declare_writes(uid, regs, t)
@@ -814,7 +811,7 @@ class TripsProcessor:
             self._dispatch_done(block)
 
     def _dispatch_done(self, block: BlockInst) -> None:
-        if block.uid not in self.live_uids:
+        if block.uid not in self.window_by_uid:
             return
         ev = block.ev
         if ev is not None:
@@ -891,7 +888,7 @@ class TripsProcessor:
         self._check_complete(block)
 
     def _check_complete(self, block: BlockInst) -> None:
-        if block.completed_t >= 0 or block.uid not in self.live_uids:
+        if block.completed_t >= 0 or block.uid not in self.window_by_uid:
             return
         if block.regs_done_t < 0 or block.stores_done_t < 0 \
                 or block.branch_t < 0:
@@ -949,7 +946,6 @@ class TripsProcessor:
                 et.flush(uids)
         for lsid in block.decoded.store_lsids:
             self.store_arrivals.pop((block.seq, lsid), None)
-        self.committed_seqs.add(block.seq)
         ev = block.ev
         if ev is not None:
             ev.commit_t = t
@@ -959,10 +955,9 @@ class TripsProcessor:
         self.schedule(block.ack_t, self._deallocate, block)
 
     def _deallocate(self, block: BlockInst) -> None:
-        if block.uid not in self.live_uids:
+        if block.uid not in self.window_by_uid:
             return
-        self.live_uids.discard(block.uid)
-        self.window_by_uid.pop(block.uid, None)
+        del self.window_by_uid[block.uid]
         self.window_by_seq.pop(block.seq, None)
         # deallocation is almost always of the window head; remove by
         # index instead of rebuilding the whole list
@@ -974,10 +969,6 @@ class TripsProcessor:
                 if b is block:
                     del window[i]
                     break
-        # the seq is only consulted (prior_stores_arrived) while the block
-        # is still in the window; dropping it here keeps the set bounded
-        # by the in-flight window instead of growing for the whole run
-        self.committed_seqs.discard(block.seq)
         self.free_frames.add(block.frame)
         self.frame_freed[block.frame] = (self.cycle, block.uid)
         for rt in self.rts:
@@ -1063,10 +1054,8 @@ class TripsProcessor:
         for block in doomed:
             if block.resolved_next is None:
                 self.unresolved -= 1
-            self.live_uids.discard(block.uid)
             self.window_by_uid.pop(block.uid, None)
             self.window_by_seq.pop(block.seq, None)
-            self.committed_seqs.discard(block.seq)
             self.free_frames.add(block.frame)
             self.frame_freed[block.frame] = (t, None)
             self.stats.blocks_flushed += 1
@@ -1105,36 +1094,23 @@ class TripsProcessor:
     def prior_stores_arrived(self, key: Tuple[int, int], dt_index: int,
                              t: int) -> bool:
         """Have all program-order-earlier stores reached the LSQs, as
-        visible from DT ``dt_index`` through the DSN?"""
-        seq, lsid = key
-        for block in self.window:
-            if block.seq > seq:
-                break
-            if block.seq in self.committed_seqs:
-                continue
-            for s_lsid in block.decoded.store_lsids:
-                if (block.seq, s_lsid) >= key:
-                    continue
-                arrival = self.store_arrivals.get((block.seq, s_lsid))
-                if arrival is None:
-                    return False
-                arr_t, src = arrival
-                if arr_t + abs(src - dt_index) > t:
-                    return False
-        return True
+        visible from DT ``dt_index`` through the DSN, by cycle ``t``?"""
+        wake = self.deferred_wake_t(key, dt_index)
+        return wake is not None and wake <= t
 
     def deferred_wake_t(self, key: Tuple[int, int],
                         dt_index: int) -> Optional[int]:
-        """Earliest cycle :meth:`prior_stores_arrived` can become true for
-        ``key`` at DT ``dt_index``, or None while a gating store has not
-        yet arrived anywhere (its eventual delivery wakes the mesh, so the
-        fast engine needs no estimate for it)."""
+        """Earliest cycle by which every program-order-earlier store of
+        the uncommitted window has reached DT ``dt_index`` through the
+        DSN, or None while one has not yet arrived anywhere (its eventual
+        delivery wakes the mesh, so the fast engine needs no estimate
+        for it)."""
         seq, lsid = key
         wake = 0
         for block in self.window:
             if block.seq > seq:
                 break
-            if block.seq in self.committed_seqs:
+            if block.commit_sent_t >= 0:
                 continue
             for s_lsid in block.decoded.store_lsids:
                 if (block.seq, s_lsid) >= key:

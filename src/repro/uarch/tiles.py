@@ -186,7 +186,7 @@ class ExecTile:
     def deliver_operand(self, msg: OperandMsg, t: int,
                         hops: int = 0, queue: int = 0, local: bool = False) -> None:
         block_uid = msg.block_uid
-        if block_uid not in self.proc.live_uids:
+        if block_uid not in self.proc.window_by_uid:
             return                       # stale packet from a flushed block
         station = self._station(block_uid, msg.target)
         kind = msg.kind
@@ -279,7 +279,7 @@ class ExecTile:
 
     # -- completion / result routing ---------------------------------------
     def _complete(self, key: Tuple[int, int], station: _Station) -> None:
-        if key[0] not in self.proc.live_uids:
+        if key[0] not in self.proc.window_by_uid:
             return
         t = self.proc.cycle
         inst = station.inst
@@ -461,7 +461,7 @@ class RegTile:
 
     # -- write value arrival ----------------------------------------------
     def deliver_write(self, msg: OperandMsg, t: int) -> None:
-        if msg.block_uid not in self.proc.live_uids:
+        if msg.block_uid not in self.proc.window_by_uid:
             return
         wslot = msg.target[1]
         block = self.proc.window_by_uid[msg.block_uid]
@@ -507,7 +507,7 @@ class RegTile:
 
     def _try_read(self, item, t: int) -> bool:
         block_uid, read_slot, read, dispatch_t = item
-        if block_uid not in self.proc.live_uids:
+        if block_uid not in self.proc.window_by_uid:
             return True
         block = self.proc.window_by_uid[block_uid]
         # search write queues of older in-flight blocks, youngest first
@@ -661,7 +661,7 @@ class DataTile:
         if not self.deferred:
             return None
         proc = self.proc
-        live = proc.live_uids
+        live = proc.window_by_uid
         wake = None
         for msg, _hops, _queue in self.deferred:
             if msg.block_uid not in live:
@@ -681,7 +681,7 @@ class DataTile:
     # -- arrivals ---------------------------------------------------------
     def deliver_request(self, msg: MemRequest, hops: int, queue: int,
                         t: int) -> None:
-        if msg.block_uid not in self.proc.live_uids:
+        if msg.block_uid not in self.proc.window_by_uid:
             return
         self.requests.append((msg, hops, queue, t))
 
@@ -700,7 +700,7 @@ class DataTile:
             del self.requests[best]
             if self.proc.tel is not None:
                 self._tel_active_t = t
-            if msg.block_uid in self.proc.live_uids:
+            if msg.block_uid in self.proc.window_by_uid:
                 if msg.is_store:
                     self._process_store(msg, t)
                 else:
@@ -735,7 +735,7 @@ class DataTile:
             return
         still = []
         for msg, hops, queue in self.deferred:
-            if msg.block_uid not in self.proc.live_uids:
+            if msg.block_uid not in self.proc.window_by_uid:
                 continue
             key = (msg.seq, msg.lsid)
             if self.proc.prior_stores_arrived(key, self.index, t):
@@ -800,7 +800,7 @@ class DataTile:
         # fires, even when the block was flushed in the meantime
         if miss and self.proc.tel is not None and self._tel_pending_loads:
             self._tel_pending_loads -= 1
-        if msg.block_uid not in self.proc.live_uids:
+        if msg.block_uid not in self.proc.window_by_uid:
             return
         for target in msg.targets:
             dest, slot, kind = ROUTES[target.kind.type_bits | target.slot]
@@ -844,6 +844,22 @@ class DataTile:
     def tel_state(self, t: int) -> str:
         if self._tel_active_t == t or self.commit_free_t > t:
             return _tel.BUSY        # serving a request or draining stores
+        return self._tel_waiting_state()
+
+    def tel_account(self, timeline, t0: int, t1: int) -> None:
+        if self.commit_free_t > t0:
+            mid = min(self.commit_free_t, t1)
+            timeline.add(_tel.BUSY, t0, mid)
+            t0 = mid
+        if t0 < t1:
+            # the fast engine can skip while a deferral waits on DSN
+            # propagation or a miss waits on memory
+            timeline.add(self._tel_waiting_state(), t0, t1)
+
+    def _tel_waiting_state(self) -> str:
+        """What the DT waits on in a cycle it serves nothing: one
+        precedence for stepped and skipped cycles alike (a skipped
+        stretch has an empty outbox and no queued request)."""
         if self.outbox:
             return _tel.OPN_BACKPRESSURE
         if self.lsq.is_full():
@@ -855,21 +871,3 @@ class DataTile:
         if self.requests:
             return _tel.BUSY        # queued behind the one-per-cycle port
         return _tel.IDLE
-
-    def tel_account(self, timeline, t0: int, t1: int) -> None:
-        if self.commit_free_t > t0:
-            mid = min(self.commit_free_t, t1)
-            timeline.add(_tel.BUSY, t0, mid)
-            t0 = mid
-        if t0 < t1:
-            if self._tel_pending_loads:
-                state = _tel.CACHE_MISS
-            elif self.lsq.is_full():
-                state = _tel.LSQ_FULL
-            elif self.deferred:
-                # the fast engine can skip while a deferral waits on DSN
-                # propagation; those cycles are dependence stalls
-                state = _tel.DEP_DEFERRAL
-            else:
-                state = _tel.IDLE
-            timeline.add(state, t0, t1)

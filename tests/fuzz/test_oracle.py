@@ -14,6 +14,7 @@ import repro.compiler
 from repro.fuzz.gen import generate
 from repro.fuzz.oracle import (check_arch, check_asm, check_engines,
                                run_case)
+from repro.telemetry.recorder import TelemetryRecorder
 from repro.uarch.config import PROTOTYPE
 from repro.uarch.proc import TripsProcessor
 
@@ -127,3 +128,27 @@ def test_perturbed_production_stats_still_diverge(probe):
         "stats diverge from full-scan: cycles: ")
     assert len(probe.runs) == 2
     assert shared == _unshared(prog)
+
+
+def test_telemetry_summary_divergence_is_reported(monkeypatch):
+    """With telemetry on, the engines' summaries are compared too: one
+    DT cycle moved between states on the fast engine is a divergence
+    although ProcStats agree.  ``fast_forward`` differs on every run
+    that skips, and is left out."""
+    real_summary = TelemetryRecorder.summary
+
+    def summary(recorder):
+        out = real_summary(recorder)
+        if recorder.proc.config.fast_path:
+            dt = out.tiles["D1"]
+            dt["cache_miss"] = dt.get("cache_miss", 0) + 1
+            dt["idle"] -= 1
+        return out
+
+    prog = generate(SEED)
+    assert check_engines(prog, nuca=True, telemetry=True) == []
+    monkeypatch.setattr(TelemetryRecorder, "summary", summary)
+    got = check_engines(prog, nuca=True, telemetry=True)
+    assert _stages(got) == ["engines:fast+nuca+telemetry"]
+    assert got[0].detail.startswith(
+        "telemetry summary diverges from full-scan: tiles.D1.")

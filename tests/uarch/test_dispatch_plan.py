@@ -63,11 +63,11 @@ class _PerItemDispatch(TripsProcessor):
         self.schedule(last, self._dispatch_done, block)
 
     def _declare(self, uid, bank, regs, t):
-        if uid in self.live_uids:
+        if uid in self.window_by_uid:
             self.rts[bank].declare_writes(uid, regs, t)
 
     def _dispatch_one(self, block, et, slot, inst, t):
-        if block.uid in self.live_uids:
+        if block.uid in self.window_by_uid:
             self.ets[et].dispatch_inst(block.uid, block.seq, slot, inst, t,
                                        ("dispatch", t))
 

@@ -1,11 +1,8 @@
 """Edge cases for the functional simulator and supporting pieces."""
 
-import pytest
-
 from repro.asm import assemble
 from repro.isa import Program, ProgramBuilder, TripsBlock, make
 from repro.uarch import FunctionalSim, SimError
-from repro.uarch.mesh import Packet, WormholeMesh
 
 
 class TestFunctionalEdges:
@@ -62,22 +59,6 @@ class TestFunctionalEdges:
         assert "halt" in text and "main" in text
         image = prog.memory_image()
         assert sum(len(v) for v in image.values()) >= 256
-
-
-class TestMeshColumnFirst:
-    def test_col_first_routing_delivers(self):
-        mesh = WormholeMesh(4, 4, route_order="col_first")
-        pkt = Packet(src=(0, 0), dest=(3, 3))
-        mesh.inject((0, 0), pkt)
-        for _ in range(10):
-            mesh.step()
-        got = mesh.take_delivered((3, 3))
-        assert got == [pkt]
-        assert pkt.hops == 6
-
-    def test_bad_route_order_rejected(self):
-        with pytest.raises(ValueError):
-            WormholeMesh(2, 2, route_order="diagonal")
 
 
 class TestProgramBuilderEdges:

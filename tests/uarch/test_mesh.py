@@ -39,7 +39,7 @@ class TestLatency:
         assert pkt.queue_cycles == 0
 
     def test_row_first_routing(self):
-        mesh = WormholeMesh(5, 5, route_order="row_first")
+        mesh = WormholeMesh(5, 5)
         # row-first means a (0,0)->(2,2) packet passes through (2,0) area;
         # verified indirectly: a packet from (0,0) to (2,2) and another from
         # (4,0) to (2,2) contend only on the final column links.
