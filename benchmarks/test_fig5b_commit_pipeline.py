@@ -37,7 +37,7 @@ def test_fig5b_commit_pipeline(benchmark, results_dir):
     lines = ["Figure 5b protocol timeline (committed blocks):",
              f"{'seq':>4} {'fetch':>6} {'finish':>6} {'commit':>6} {'ack':>6}"]
     for b in committed:
-        lines.append(f"{b.seq:>4} {b.fetch_t:>6} {b.completed_t:>6} "
+        lines.append(f"{b.uid:>4} {b.fetch_t:>6} {b.completed_t:>6} "
                      f"{b.commit_t:>6} {b.ack_t:>6}")
 
     # phase ordering within each block

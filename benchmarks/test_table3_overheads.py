@@ -13,36 +13,25 @@ import pytest
 from repro.analysis import analyze_critical_path
 from repro.harness import render_table
 from repro.harness.runner import run_trips_workload
-from repro.simlab import RunSpec, cache_from_env, run_specs, workers_from_env
-from repro.workloads import workload_names
 from repro.workloads.registry import HAND_OPTIMIZED
 
-from .conftest import save
+from .conftest import PERFORMANCE, save
 
 CATEGORIES = ["IFetch", "OPN Hops", "OPN Cont.", "Fanout Ops",
               "Block Complete", "Block Commit", "Other"]
 
 
-def _overhead_rows():
-    # traced runs submitted through simlab (parallel/cached when
-    # SIMLAB_WORKERS / SIMLAB_CACHE are set; identical results serially)
-    levels = ["hand" if name in HAND_OPTIMIZED else "tcc"
-              for name in workload_names()]
-    specs = [RunSpec.trips(name, level=level, trace=True)
-             for name, level in zip(workload_names(), levels)]
-    results = run_specs(specs, workers=workers_from_env(),
-                        cache=cache_from_env())
-    rows = []
-    for name, level, result in zip(workload_names(), levels, results):
-        row = {"Benchmark": name, "Level": level}
-        row.update({k: round(v, 2) for k, v in result["critpath"].items()})
-        rows.append(row)
-    return rows
-
-
 @pytest.fixture(scope="module")
-def overhead_rows():
-    return _overhead_rows()
+def overhead_rows(table3):
+    # each row's critical path is measured at the best available level
+    rows = []
+    for row in table3:
+        name = row["Benchmark"]
+        level = "hand" if name in HAND_OPTIMIZED else "tcc"
+        rows.append({"Benchmark": name, "Level": level,
+                     **{k: v for k, v in row.items()
+                        if k != "Benchmark" and k not in PERFORMANCE}})
+    return rows
 
 
 def test_table3_overheads(benchmark, overhead_rows, results_dir):

@@ -10,44 +10,22 @@ paper — see EXPERIMENTS.md for the measured-vs-paper discussion.
 
 import pytest
 
-from repro.harness import render_table
-from repro.harness.runner import Comparison, compare_workload
-from repro.simlab import RunSpec, cache_from_env, run_specs, workers_from_env
-from repro.workloads import workload_names
+from repro.harness import render_table, table3_rows
 from repro.workloads.registry import HAND_OPTIMIZED
 
-from .conftest import save
-
-
-def _performance_rows():
-    # one simlab job per benchmark; SIMLAB_WORKERS / SIMLAB_CACHE opt the
-    # sweep into parallelism and caching without changing its results
-    specs = [RunSpec.compare(name, hand=name in HAND_OPTIMIZED)
-             for name in workload_names()]
-    results = run_specs(specs, workers=workers_from_env(),
-                        cache=cache_from_env())
-    rows = []
-    for name, result in zip(workload_names(), results):
-        cmp = Comparison.from_dict(result)
-        hand = name in HAND_OPTIMIZED
-        rows.append({
-            "Benchmark": name,
-            "Speedup TCC": round(cmp.speedup_tcc, 2),
-            "Speedup Hand": round(cmp.speedup_hand, 2) if hand else None,
-            "IPC Alpha": round(cmp.ipc_alpha, 2),
-            "IPC TCC": round(cmp.ipc_tcc, 2),
-            "IPC Hand": round(cmp.ipc_hand, 2) if hand else None,
-        })
-    return rows
+from .conftest import PERFORMANCE, save
 
 
 @pytest.fixture(scope="module")
-def perf_rows():
-    return _performance_rows()
+def perf_rows(table3):
+    return [{"Benchmark": row["Benchmark"],
+             **{col: row[col] for col in PERFORMANCE}} for row in table3]
 
 
 def test_table3_performance(benchmark, perf_rows, results_dir):
-    benchmark.pedantic(lambda: compare_workload("vadd"),
+    # benchmark one representative workload's row; the session fixture
+    # computed the complete table once
+    benchmark.pedantic(lambda: table3_rows(["vadd"]),
                        rounds=1, iterations=1)
     text = render_table(perf_rows,
                         "Table 3 (right): preliminary performance vs the "

@@ -48,17 +48,11 @@ def main() -> None:
 
     p0 = compile_tir(producer, level="hand", base=0x1000, data_base=0x100000)
     p1 = compile_tir(consumer, level="hand", base=0x40000, data_base=0x180000)
-    chip = TripsChip(p0.program, p1.program, max_cycles=3_000_000)
+    chip = TripsChip(p0.program, p1.program)
 
     # phase 1: run until the producer halts (the consumer spins)
     while not chip.cores[0].halted:
-        for core in chip.cores:
-            if not core.halted:
-                core.step()
-        chip.sysmem.step()
-        for core in chip.cores:
-            core.poll_sysmem()
-        chip.cycle += 1
+        chip.step()
     print(f"core 0 (producer) halted at chip cycle {chip.cycle}: "
           f"{chip.cores[0].stats.blocks_committed} blocks committed")
 

@@ -28,8 +28,8 @@ def main() -> None:
               f"{'finish':>6} {'commit':>6} {'ack':>6}  outcome")
     print(header)
     print("-" * len(header))
-    for ev in sorted(proc.trace.blocks.values(), key=lambda b: b.seq):
-        print(f"{ev.seq:>4} {ev.addr:#8x} {ev.fetch_t:>6} "
+    for ev in sorted(proc.trace.blocks.values(), key=lambda b: b.uid):
+        print(f"{ev.uid:>4} {ev.addr:#8x} {ev.fetch_t:>6} "
               f"{ev.dispatch_done_t:>6} {ev.completed_t:>6} "
               f"{ev.commit_t:>6} {ev.ack_t:>6}  {ev.outcome}")
 

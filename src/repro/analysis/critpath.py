@@ -78,12 +78,12 @@ class _Walker:
         self.trace = trace
         self.report = report
         self.steps = 0
-        # committed blocks indexed once in seq order: predecessor lookups
+        # committed blocks indexed once in uid order: predecessor lookups
         # during the walk become a bisect instead of a scan over every
         # traced block (the walk visits O(blocks) commit edges, so the
         # naive scan was quadratic in run length)
         self._committed_blocks = trace.committed_blocks()
-        self._committed_seqs = [b.seq for b in self._committed_blocks]
+        self._committed_uids = [b.uid for b in self._committed_blocks]
 
     # Each visit method returns the next (kind, ...) hop or None (done).
     def walk(self) -> None:
@@ -131,7 +131,7 @@ class _Walker:
         return ("complete", block)
 
     def _previous_committed(self, block: BlockEvent) -> Optional[BlockEvent]:
-        i = bisect_left(self._committed_seqs, block.seq)
+        i = bisect_left(self._committed_uids, block.uid)
         return self._committed_blocks[i - 1] if i else None
 
     def _from_complete(self, block: BlockEvent):

@@ -48,7 +48,6 @@ class BaselineConfig:
     line_bytes: int = 64
     l1_hit_cycles: int = 3
     l2_hit_cycles: int = 12        # matched to the TRIPS config
-    perfect_l2: bool = True
     int_mul_latency: int = 7
     int_div_latency: int = 20
     fp_latency: int = 4
@@ -59,7 +58,6 @@ class BaselineConfig:
     #: the 21264 splits its integer units into two clusters; a result
     #: consumed in the other cluster pays one extra bypass cycle
     cluster_penalty: int = 1
-    clustered: bool = True
 
 
 @dataclass
@@ -217,7 +215,6 @@ class OooCore:
         commit_t: List[int] = []
         fetch_floor = 0
 
-        clustered = cfg.clustered
         cluster_penalty = cfg.cluster_penalty
         frontend_depth = cfg.frontend_depth
         rob_entries = cfg.rob_entries
@@ -246,13 +243,13 @@ class OooCore:
             cluster = i & 1
             if ra >= 0:
                 t = reg_ready[ra]
-                if clustered and t > 0 and reg_cluster[ra] != cluster:
+                if t > 0 and reg_cluster[ra] != cluster:
                     t += cluster_penalty
                 if t > ready:
                     ready = t
             if rb >= 0:
                 t = reg_ready[rb]
-                if clustered and t > 0 and reg_cluster[rb] != cluster:
+                if t > 0 and reg_cluster[rb] != cluster:
                     t += cluster_penalty
                 if t > ready:
                     ready = t

@@ -5,8 +5,10 @@ through the secondary memory system, in which the On-Chip Network (OCN) is
 embedded" (Section 3).  :class:`TripsChip` composes two
 :class:`~repro.uarch.proc.TripsProcessor` cores over one
 :class:`~repro.mem.sysmem.SecondaryMemory` and one backing store:
-processor 0 owns OCN ports 0-3, processor 1 ports 4-7, and the chip's run
-loop advances both cores and the OCN in lockstep.
+processor 0 owns OCN ports 0-3, processor 1 ports 4-7, and
+:meth:`TripsChip.step` advances both cores and the OCN in lockstep through
+the same per-cycle sequence a lone core runs, so a core behaves the same
+alone or on the chip.
 
 Inter-processor communication happens exactly as on the silicon: through
 memory (stores become visible at block commit; there is no inter-core
@@ -19,14 +21,14 @@ data both programs address.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from .isa import Program
 from .mem.backing import BackingStore
 from .mem.sysmem import SecondaryMemory, SysMemConfig
 from .serialize import dataclass_from_dict, dataclass_to_dict
 from .uarch.config import TripsConfig
-from .uarch.proc import ProcStats, TripsProcessor
+from .uarch.proc import ProcStats, TripsProcessor, skip_idle
 
 
 class ChipError(RuntimeError):
@@ -60,17 +62,16 @@ class TripsChip:
     def __init__(self, program0: Program, program1: Optional[Program] = None,
                  config: Optional[TripsConfig] = None,
                  memory_mode: str = "shared_l2",
-                 max_cycles: int = 5_000_000,
                  telemetry: bool = False):
         config = config or TripsConfig(perfect_l2=False)
         if config.perfect_l2:
             config = config.with_overrides(perfect_l2=False)
+        self.config = config
         self.memory = BackingStore()
         self.sysmem = SecondaryMemory(
             SysMemConfig(mode=memory_mode, dram_cycles=config.dram_cycles,
                          active_set=config.fast_path),
             backing=self.memory)
-        self.max_cycles = max_cycles
 
         self._check_disjoint(program0, program1)
         self.cores: List[TripsProcessor] = []
@@ -104,22 +105,33 @@ class TripsChip:
                         "different base")
 
     # ------------------------------------------------------------------
-    def run(self) -> ChipStats:
-        """Run both cores to completion."""
-        fast = all(core.config.fast_path for core in self.cores)
-        while not all(core.halted for core in self.cores):
-            if self.cycle >= self.max_cycles:
-                raise ChipError(f"chip cycle budget {self.max_cycles} "
-                                "exhausted")
-            for core in self.cores:
-                if not core.halted:
-                    core.step()
-            self.sysmem.step()
-            for core in self.cores:
+    def step(self) -> None:
+        """One chip cycle: each live core's phases, the shared memory
+        system, then each core's end of cycle (a halted core only takes
+        its memory responses and keeps its final cycle count)."""
+        live = [not core.halted for core in self.cores]
+        for core, on in zip(self.cores, live):
+            if on:
+                core.step_core()
+        self.sysmem.step()
+        for core, on in zip(self.cores, live):
+            if on:
+                core.end_cycle()
+            else:
                 core.poll_sysmem()
-            self.cycle += 1
-            if fast:
-                self._try_fast_forward()
+        self.cycle += 1
+
+    def run(self) -> ChipStats:
+        """Run both cores to completion within ``config.max_cycles``."""
+        budget = self.config.max_cycles
+        while not all(core.halted for core in self.cores):
+            if self.cycle >= budget:
+                raise ChipError(f"chip cycle budget {budget} exhausted")
+            self.step()
+            if self.config.fast_path:
+                live = [core for core in self.cores if not core.halted]
+                if live:
+                    self.cycle = skip_idle(live, self.sysmem)
         for core in self.cores:
             core.finalize_stats()
         return ChipStats(
@@ -127,46 +139,6 @@ class TripsChip:
             per_core=[core.stats for core in self.cores],
             ocn_requests=self.sysmem.stats["requests"],
             dram_accesses=self.sysmem.stats["dram_accesses"])
-
-    def _try_fast_forward(self) -> None:
-        """Skip cycles in which provably no core and no OCN work occurs.
-
-        The chip may only jump when *every* live core is quiescent and
-        the shared memory system is drained; the target is the earliest
-        moment any of them can act (event heap, prediction latency, bank
-        or DRAM completion).  Cores and the OCN advance in lockstep, so
-        one assignment per clock domain suffices; halted cores keep their
-        final cycle count, exactly as under per-cycle stepping.
-        """
-        if all(core.halted for core in self.cores):
-            return      # the run loop is about to exit; nothing to skip
-        t = self.cycle
-        times = []
-        for core in self.cores:
-            if core.halted:
-                continue
-            work = core.next_work_t()
-            if work is not None:
-                if work <= t:
-                    return
-                times.append(work)
-        mem = self.sysmem.next_work_t()
-        if mem is not None:
-            if mem <= t:
-                return
-            times.append(mem)
-        target = min(min(times) if times else self.max_cycles,
-                     self.max_cycles)
-        if target <= t:
-            return
-        for core in self.cores:
-            if not core.halted:
-                if core.tel is not None:
-                    core.tel.account_skip(core.cycle, target)
-                core.cycle = target
-                core.opn.fast_forward(target)
-        self.sysmem.fast_forward(target)
-        self.cycle = target
 
     def dma_copy(self, src: int, dst: int, nbytes: int) -> int:
         """Programmed DMA between physical regions (an OCN client)."""

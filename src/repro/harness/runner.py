@@ -7,11 +7,10 @@ equivalent of the paper's RTL-vs-tsim-proc validation discipline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional
 
 from ..baseline.ooo import BaselineConfig, BaselineStats, OooCore
-from ..serialize import dataclass_from_dict, dataclass_to_dict
 from ..baseline.srisc import run_functional
 from ..compiler import CompiledProgram, compile_tir
 from ..compiler.srisc import compile_srisc
@@ -117,42 +116,3 @@ def run_baseline_workload(workload,
                 f"{tir.name}: baseline outputs diverge from golden")
     stats = OooCore(config).run(program, functional)
     return BaselineRun(name=tir.name, stats=stats)
-
-
-@dataclass
-class Comparison:
-    """One benchmark's Table 3 performance columns."""
-
-    name: str
-    speedup_tcc: float
-    speedup_hand: Optional[float]
-    ipc_alpha: float
-    ipc_tcc: float
-    ipc_hand: Optional[float]
-
-    # -- JSON round trip (simlab cache records, harness --json) ---------
-    def to_dict(self) -> Dict:
-        return dataclass_to_dict(self)
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "Comparison":
-        return dataclass_from_dict(cls, data)
-
-
-def compare_workload(workload, config: Optional[TripsConfig] = None,
-                     hand: bool = True) -> Comparison:
-    """TRIPS (both levels) vs the baseline, the paper's speedup metric:
-    the ratio of cycle counts for the same workload."""
-    tir = _resolve(workload)
-    alpha = run_baseline_workload(tir)
-    tcc = run_trips_workload(tir, level="tcc", config=config)
-    hand_run = run_trips_workload(tir, level="hand", config=config) \
-        if hand else None
-    return Comparison(
-        name=tir.name,
-        speedup_tcc=alpha.cycles / tcc.cycles,
-        speedup_hand=(alpha.cycles / hand_run.cycles) if hand_run else None,
-        ipc_alpha=alpha.ipc,
-        ipc_tcc=tcc.ipc,
-        ipc_hand=hand_run.ipc if hand_run else None,
-    )

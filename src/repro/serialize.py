@@ -3,7 +3,6 @@
 The simlab result cache and the harness ``--json`` mode both need the
 stats objects (:class:`~repro.uarch.proc.ProcStats`,
 :class:`~repro.baseline.ooo.BaselineStats`,
-:class:`~repro.harness.runner.Comparison`,
 :class:`~repro.chip.ChipStats`) to survive a trip through ``json.dumps``
 and back.  All of them are flat dataclasses of scalars (ChipStats nests a
 list of ProcStats and handles that field itself), so two tiny generic

@@ -60,11 +60,7 @@ def execute_spec(spec: RunSpec) -> Dict[str, Any]:
     """Run one job and return its JSON-serializable result dict."""
     # Imported lazily: repro.harness imports repro.simlab for the sweep
     # plumbing, so a module-level import here would be circular.
-    from ..harness.runner import (
-        compare_workload,
-        run_baseline_workload,
-        run_trips_workload,
-    )
+    from ..harness.runner import run_baseline_workload, run_trips_workload
 
     if spec.kind == "trips" and spec.sampling is not None:
         from ..sampling import run_sampled_workload
@@ -101,12 +97,6 @@ def execute_spec(spec: RunSpec) -> Dict[str, Any]:
             spec.workload, config=baseline_config_from_dict(spec.config))
         return {"kind": "baseline", "name": run.name,
                 "stats": run.stats.to_dict()}
-
-    if spec.kind == "compare":
-        cmp = compare_workload(spec.workload,
-                               config=trips_config_from_dict(spec.config),
-                               hand=spec.hand)
-        return {"kind": "compare", **cmp.to_dict()}
 
     if spec.kind == "fuzz":
         from ..fuzz.oracle import run_shard

@@ -26,7 +26,7 @@ from ..uarch.config import PredictorConfig, TripsConfig
 #: executor's own crash/retry/timeout tests and never touches a simulator.
 #: ``fuzz`` is one differential-fuzzing shard (a seed range plus oracle
 #: options, see :mod:`repro.fuzz`).
-KINDS = ("trips", "baseline", "compare", "selftest", "fuzz")
+KINDS = ("trips", "baseline", "selftest", "fuzz")
 
 
 @lru_cache(maxsize=1)
@@ -86,7 +86,7 @@ class RunSpec:
     """One independent simulation job.
 
     Build specs through the :meth:`trips` / :meth:`baseline` /
-    :meth:`compare` constructors — they resolve the config to its full
+    :meth:`fuzz` constructors — they resolve the config to its full
     field dict and normalize the fields the kind doesn't use, so two specs
     describing the same experiment always hash identically.
     """
@@ -96,7 +96,6 @@ class RunSpec:
     level: str = ""                 # trips only: "hand" | "tcc"
     trace: bool = False             # trips only: collect a critpath trace
     telemetry: bool = False         # trips only: cache a telemetry summary
-    hand: bool = False              # compare only: include the hand level
     size: int = 1                   # trips only: workload size multiplier
     config: Dict[str, Any] = field(default_factory=dict)
     #: trips only: a SamplingConfig dict switches the job to sampled +
@@ -142,15 +141,6 @@ class RunSpec:
                    else code_fingerprint())
 
     @classmethod
-    def compare(cls, workload: str, hand: bool = True,
-                config: Optional[TripsConfig] = None,
-                fingerprint: Optional[str] = None) -> "RunSpec":
-        return cls(kind="compare", workload=workload, hand=hand,
-                   config=trips_config_to_dict(config),
-                   fingerprint=fingerprint if fingerprint is not None
-                   else code_fingerprint())
-
-    @classmethod
     def fuzz(cls, start: int, count: int,
              gen: Optional[Dict[str, Any]] = None,
              checks: Optional[tuple] = None,
@@ -188,8 +178,7 @@ class RunSpec:
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, "workload": self.workload,
                 "level": self.level, "trace": self.trace,
-                "telemetry": self.telemetry, "hand": self.hand,
-                "size": self.size,
+                "telemetry": self.telemetry, "size": self.size,
                 "sampling": None if self.sampling is None
                 else dict(self.sampling),
                 "config": self.config, "fingerprint": self.fingerprint}
@@ -200,7 +189,6 @@ class RunSpec:
                    level=data.get("level", ""),
                    trace=bool(data.get("trace", False)),
                    telemetry=bool(data.get("telemetry", False)),
-                   hand=bool(data.get("hand", False)),
                    size=int(data.get("size", 1)),
                    sampling=_freeze_sampling(data.get("sampling")),
                    config=dict(data.get("config", {})),
@@ -223,7 +211,4 @@ class RunSpec:
                 (" +trace" if self.trace else "") + \
                 (" +tel" if self.telemetry else "") + \
                 (" +sampled" if self.sampling is not None else "")
-        if self.kind == "compare":
-            return f"compare:{self.workload}" + ("" if self.hand
-                                                 else " (no hand)")
         return f"{self.kind}:{self.workload}"

@@ -146,9 +146,10 @@ def build_trace(recorder: TelemetryRecorder) -> Dict:
                 end = min(end, spans[i + 1].fetch_t)
             label = f"block {span.addr:#x}" if span.outcome != "flushed" \
                 else f"block {span.addr:#x} (flushed: {span.flush_reason})"
+            # ``seq`` (program order) is the uid: uids count fetches
             events.append(_span(label, "block", start, end - start,
                                 _PID_CORE, tid,
-                                args={"uid": span.uid, "seq": span.seq,
+                                args={"uid": span.uid, "seq": span.uid,
                                       "outcome": span.outcome}))
             # phase boundaries are forced monotone (``cur``): a block can
             # e.g. complete before its last dead predicated instruction

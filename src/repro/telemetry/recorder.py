@@ -10,9 +10,9 @@ every *stepped* cycle the recorder asks each tile for its state that
 cycle (:meth:`~repro.uarch.tiles.ExecTile.tel_state` and friends), and
 when the fast-path engine fast-forwards over a provably-quiescent
 stretch, :meth:`TelemetryRecorder.account_skip` charges the whole
-stretch in one run-length entry using the tile's quiescent-state
-classifier.  Stepped plus skipped intervals tile the run exactly, so
-for every tile::
+stretch in at most two run-length entries with the same classifier.
+Stepped plus skipped intervals tile the run exactly, so for every
+tile::
 
     busy + sum(stalls) + idle == ProcStats.cycles
 
@@ -88,6 +88,16 @@ class _Timeline:
         for state, t0, t1 in self.runs:
             out[state] = out.get(state, 0) + (t1 - t0)
         return out
+
+
+def _charge(timeline: _Timeline, state, t0: int, t1: int,
+            split: int) -> None:
+    """Charge ``[t0, t1)`` to ``state(t)``, which is constant on each side
+    of cycle ``split``."""
+    if t0 < split < t1:
+        timeline.add(state(t0), t0, split)
+        t0 = split
+    timeline.add(state(t0), t0, t1)
 
 
 # ----------------------------------------------------------------------
@@ -265,7 +275,8 @@ class TelemetryRecorder:
     def __init__(self):
         self.proc = None
         self.timelines: Dict[str, _Timeline] = {}
-        self._tile_runs: List[Tuple[object, _Timeline]] = []
+        #: (tile, timeline, drains commits): RTs and DTs do, ETs do not
+        self._tile_runs: List[Tuple[object, _Timeline, bool]] = []
         self._gt_tl = _Timeline()
         self.blocks: Dict[int, BlockEvent] = {}
         self.skips: List[Tuple[int, int]] = []
@@ -279,15 +290,15 @@ class TelemetryRecorder:
     def attach(self, proc) -> None:
         self.proc = proc
         self.blocks = proc.block_events
-        names_tiles = [(f"E{i}", et) for i, et in enumerate(proc.ets)]
-        names_tiles += [(f"R{b}", rt) for b, rt in enumerate(proc.rts)]
-        names_tiles += [(f"D{d}", dt) for d, dt in enumerate(proc.dts)]
+        names_tiles = [(f"E{i}", et, False) for i, et in enumerate(proc.ets)]
+        names_tiles += [(f"R{b}", rt, True) for b, rt in enumerate(proc.rts)]
+        names_tiles += [(f"D{d}", dt, True) for d, dt in enumerate(proc.dts)]
         self.timelines = {"GT": self._gt_tl}
         self._tile_runs = []
-        for name, tile in names_tiles:
+        for name, tile, commits in names_tiles:
             tl = _Timeline()
             self.timelines[name] = tl
-            self._tile_runs.append((tile, tl))
+            self._tile_runs.append((tile, tl, commits))
         proc.opn.telemetry = self.opn
         self.opn.nodes = proc.opn.rows * proc.opn.cols
         if proc.sysmem is not None:
@@ -304,19 +315,29 @@ class TelemetryRecorder:
     def record_cycle(self, t: int) -> None:
         """Classify every tile's state for stepped cycle ``t``."""
         t1 = t + 1
-        for tile, tl in self._tile_runs:
+        for tile, tl, _ in self._tile_runs:
             tl.add(tile.tel_state(t), t, t1)
         self._gt_tl.add(self.proc.tel_gt_state(t), t, t1)
 
     def account_skip(self, t0: int, t1: int) -> None:
-        """Charge a fast-forwarded stretch ``[t0, t1)`` — quiescent by
-        construction, so each tile is idle or in a passive wait state."""
+        """Charge a fast-forwarded stretch ``[t0, t1)`` with the stepped
+        classifier.
+
+        Nothing a tile's state reads changes inside a skip but the cycle
+        itself, and each state compares the cycle with one fixed time: an
+        RT or DT is busy until ``commit_free_t``, and the GT is in
+        ``gdn_backlog`` until the dispatch pipe is within fetch latency.
+        So each timeline takes the state of the stretch's first cycle, up
+        to that split, and the state of the split's cycle after it."""
         if t1 <= t0:
             return
         self.skips.append((t0, t1))
-        for tile, tl in self._tile_runs:
-            tile.tel_account(tl, t0, t1)
-        self.proc.tel_gt_account(self._gt_tl, t0, t1)
+        for tile, tl, commits in self._tile_runs:
+            _charge(tl, tile.tel_state, t0, t1,
+                    tile.commit_free_t if commits else t1)
+        proc = self.proc
+        _charge(self._gt_tl, proc.tel_gt_state, t0, t1,
+                proc.dispatch_pipe_free - proc.fetch_latency)
 
     # -- summary ---------------------------------------------------------
     def summary(self) -> TelemetrySummary:

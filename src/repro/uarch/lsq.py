@@ -2,9 +2,9 @@
 
 The prototype replicates a full 256-entry LSQ at every data tile; each DT's
 copy receives the memory operations whose addresses interleave to it.
-Program order across the window is the pair (block sequence number, LSID) —
-block-atomic execution plus per-block LSIDs give a total order without
-renaming.
+Program order across the window is the pair (block uid, LSID) — uids
+count fetches, so block-atomic execution plus per-block LSIDs give a
+total order without renaming.
 
 Responsibilities modelled here:
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-Key = Tuple[int, int]   # (block sequence number, LSID) = program order
+Key = Tuple[int, int]   # (block uid, LSID) = program order
 
 
 @dataclass
@@ -103,16 +103,16 @@ class LoadStoreQueue:
         return int.from_bytes(result, "little")
 
     # ------------------------------------------------------------------
-    def flush_blocks(self, seqs: Set[int]) -> int:
-        """Discard all entries of the flushed block sequence numbers."""
-        doomed = [k for k in self.entries if k[0] in seqs]
+    def flush_blocks(self, uids: Set[int]) -> int:
+        """Discard all entries of the flushed blocks."""
+        doomed = [k for k in self.entries if k[0] in uids]
         for k in doomed:
             del self.entries[k]
         return len(doomed)
 
-    def commit_block(self, seq: int) -> List[LsqEntry]:
+    def commit_block(self, uid: int) -> List[LsqEntry]:
         """Remove and return the block's entries; stores in LSID order."""
-        keys = sorted(k for k in self.entries if k[0] == seq)
+        keys = sorted(k for k in self.entries if k[0] == uid)
         out = []
         for k in keys:
             entry = self.entries.pop(k)

@@ -40,7 +40,6 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..isa import (
     EXIT_ADDRESS,
     NUM_ARCH_REGS,
-    OpClass,
     Program,
     TripsBlock,
 )
@@ -50,9 +49,9 @@ from ..telemetry import recorder as _tel
 from ..telemetry.recorder import TelemetryRecorder
 from .caches import CacheBank
 from .config import PROTOTYPE, TripsConfig
-from .mesh import Packet, WormholeMesh
+from .mesh import WormholeMesh
 from .predictor import BT_BRANCH, NextBlockPredictor, Prediction
-from .tiles import BranchMsg, DataTile, ExecTile, MemRequest, OperandMsg, RegTile
+from .tiles import BranchMsg, DataTile, ExecTile, MemRequest, RegTile
 from .trace import BlockEvent, Trace
 
 
@@ -151,7 +150,6 @@ class BlockInst:
     """One in-flight block."""
 
     uid: int
-    seq: int
     addr: int
     frame: int
     decoded: DecodedBlock
@@ -239,7 +237,8 @@ class TripsProcessor:
                  sysmem=None, sysmem_port_base: int = 0,
                  telemetry: bool = False, checkpoint=None):
         """``memory``/``sysmem`` may be supplied externally to share them
-        between the chip's two cores (see :class:`repro.chip.TripsChip`);
+        between the chip's two cores (see :class:`repro.chip.TripsChip`,
+        whose ``step`` then drives the core instead of :meth:`step`);
         ``sysmem_port_base`` selects which OCN ports this core's IT/DT
         pairs own (0 for processor 0, 4 for processor 1).  ``trace`` may
         be a pre-built :class:`Trace` (e.g. one with a ``max_blocks``
@@ -267,7 +266,6 @@ class TripsProcessor:
                                 active_set=config.fast_path)
         # detailed NUCA secondary memory (only stepped when L2 is modelled)
         self.sysmem_port_base = sysmem_port_base
-        self._owns_sysmem = sysmem is None
         if sysmem is not None:
             self.sysmem = sysmem
         elif config.perfect_l2:
@@ -312,12 +310,11 @@ class TripsProcessor:
             else (Trace() if trace else None)
 
         # block window
-        self.window: List[BlockInst] = []       # ordered by seq
+        # uids count fetches, so they are also the blocks' program order
+        self.window: List[BlockInst] = []       # ordered by uid
         self.window_by_uid: Dict[int, BlockInst] = {}
-        self.window_by_seq: Dict[int, BlockInst] = {}
         self.free_frames = set(range(config.max_blocks_in_flight))
         self.next_uid = 0
-        self.next_seq = 0
         self.store_arrivals: Dict[Tuple[int, int], Tuple[int, int]] = {}
         # window blocks whose branch has not resolved (the speculation
         # depth): +1 at fetch, -1 at resolution or flush
@@ -326,7 +323,7 @@ class TripsProcessor:
         self.dispatch_pipe_free = 0
         # fetch to first dispatch (Section 4.1): next-block prediction,
         # then one cycle of I-cache tag access and one of hit/miss
-        self._fetch_latency = config.predict_cycles + 2
+        self.fetch_latency = config.predict_cycles + 2
         self.frame_freed: Dict[int, Tuple[int, Optional[int]]] = {}
         self.halted = False
         self.halt_uid = -1
@@ -345,7 +342,6 @@ class TripsProcessor:
         self.tel: Optional[TelemetryRecorder] = None
         self._tel_fetch_t = -1
         self._tel_commit_t = -1
-        self._tel_gdn_blocked_t = -1
         if telemetry:
             self.tel = TelemetryRecorder()
             self.tel.attach(self)
@@ -370,10 +366,10 @@ class TripsProcessor:
         else:
             bucket.append((fn, args))
 
-    def older_blocks(self, seq: int):
-        """In-flight blocks older than ``seq``, youngest first."""
+    def older_blocks(self, uid: int):
+        """In-flight blocks older than ``uid``, youngest first."""
         for block in reversed(self.window):
-            if block.seq < seq:
+            if block.uid < uid:
                 yield block
 
     def decoded_at(self, addr: int) -> DecodedBlock:
@@ -393,6 +389,7 @@ class TripsProcessor:
         again to continue)."""
         cfg = self.config
         fast = cfg.fast_path
+        cores = (self,)
         while not self.halted:
             if until_blocks is not None \
                     and self.stats.blocks_committed >= until_blocks:
@@ -410,7 +407,7 @@ class TripsProcessor:
             if fast and not self.halted and self.opn.is_idle() and (
                     until_blocks is None
                     or self.stats.blocks_committed < until_blocks):
-                self._try_fast_forward()
+                skip_idle(cores, self.sysmem)
         return self.finalize_stats()
 
     # ------------------------------------------------------------------
@@ -421,14 +418,17 @@ class TripsProcessor:
 
         Returns ``self.cycle`` when any component is busy right now, a
         future cycle when all activity is pinned to known times (event
-        heap, predictor latency, block completion, sysmem), or None when
-        no work can ever arise without external input (deadlock — the run
-        loop then burns straight to the cycle budget, exactly as the slow
-        path would).  The estimate may be early (waking to a no-op cycle
+        heap, predictor latency, block completion), or None when no work
+        can ever arise without external input (a memory response, or
+        deadlock).  The estimate may be early (waking to a no-op cycle
         is harmless) but is never late: every skipped cycle is provably a
-        no-op for all tiles, both networks and the GT.
+        no-op for all tiles, the OPN and the GT.  The memory system's
+        own wakeups are :func:`skip_idle`'s to add.
         """
         t = self.cycle
+        events = self._ev_times
+        if events and events[0] <= t:
+            return t        # a timed event is due this very cycle
         if not self.opn.is_idle():
             return t
         # Issuable instructions, queued register reads and unsent packets
@@ -450,15 +450,11 @@ class TripsProcessor:
                 if work <= t:
                     return t
                 times.append(work)
-        if self._ev_times:
-            times.append(self._ev_times[0])
+        if events:
+            times.append(events[0])
         gt = self._gt_next_work_t(t)
         if gt is not None:
             times.append(gt)
-        if self.sysmem is not None and self._owns_sysmem:
-            mem = self.sysmem.next_work_t()
-            if mem is not None:
-                times.append(mem)
         if not times:
             return None
         return max(t, min(times))
@@ -498,39 +494,11 @@ class TripsProcessor:
                             <= self.config.speculative_blocks:
                         addr_t = max(t, tail.pred_ready_t)
             if addr_t is not None:
-                backlog_clear = self.dispatch_pipe_free - self._fetch_latency
+                backlog_clear = self.dispatch_pipe_free - self.fetch_latency
                 times.append(max(addr_t, backlog_clear))
         if not times:
             return None
         return max(t, min(times))
-
-    def _try_fast_forward(self) -> None:
-        """Jump ``cycle`` over a provably-idle stretch in one assignment.
-
-        The skipped cycles still count: stats read ``self.cycle``, so a
-        10,000-cycle DRAM wait reports 10,000 cycles whether they were
-        stepped or skipped.
-        """
-        t = self.cycle
-        times = self._ev_times
-        if times and times[0] <= t:
-            return      # a timed event is due this very cycle: no skip
-        target = self.next_work_t()
-        if target is None:
-            target = self.config.max_cycles
-        else:
-            target = min(target, self.config.max_cycles)
-        if target <= t:
-            return
-        if self.tel is not None:
-            # skipped cycles are quiescent by construction: account them
-            # as idle (or passive-wait) spans so tile totals still sum
-            # to the cycle count
-            self.tel.account_skip(t, target)
-        self.cycle = target
-        self.opn.fast_forward(target)
-        if self.sysmem is not None and self._owns_sysmem:
-            self.sysmem.fast_forward(target)
 
     def finalize_stats(self) -> ProcStats:
         """Fold end-of-run tile state into the stats record."""
@@ -543,6 +511,16 @@ class TripsProcessor:
         return self.stats
 
     def step(self) -> None:
+        """One cycle of a lone core, which steps the memory system it
+        holds.  :meth:`repro.chip.TripsChip.step` runs the same sequence
+        over its cores and their shared memory system."""
+        self.step_core()
+        if self.sysmem is not None:
+            self.sysmem.step()
+        self.end_cycle()
+
+    def step_core(self) -> None:
+        """Phases A–D of the current cycle, up to the OPN's advance."""
         t = self.cycle
         # phase A: timed events (completions, dispatch arrivals, commits).
         # An executing event can only schedule at cycle+1 or later, so the
@@ -578,14 +556,17 @@ class TripsProcessor:
                 dt.tick(t)
         self._try_fetch(t)
         self._try_commit(t)
-        # phase D: network advance (OPN, and the OCN when owned)
+        # phase D: network advance (the memory system steps after every
+        # core has, before any core ends its cycle)
         self.opn.step()
+
+    def end_cycle(self) -> None:
+        """Take this core's memory responses, classify the cycle for
+        telemetry, and advance the clock."""
         if self.sysmem is not None:
-            if self._owns_sysmem:
-                self.sysmem.step()
             self.poll_sysmem()
         if self.tel is not None:
-            self.tel.record_cycle(t)
+            self.tel.record_cycle(self.cycle)
         self.cycle += 1
 
     def poll_sysmem(self) -> None:
@@ -645,30 +626,15 @@ class TripsProcessor:
     # GT: fetch
     # ------------------------------------------------------------------
     def tel_gt_state(self, t: int) -> str:
-        """Telemetry classification of the GT for stepped cycle ``t``."""
+        """Telemetry classification of the GT for cycle ``t``: busy when
+        it fetched or committed, ``gdn_backlog`` while :meth:`_try_fetch`
+        withholds a free frame from the backlogged dispatch pipe."""
         if self._tel_fetch_t == t or self._tel_commit_t == t:
             return _tel.BUSY
-        if self._tel_gdn_blocked_t == t:
+        if self.free_frames \
+                and self.dispatch_pipe_free > t + self.fetch_latency:
             return _tel.GDN_BACKLOG
         return _tel.IDLE
-
-    def tel_gt_account(self, timeline, t0: int, t1: int) -> None:
-        """Charge a fast-forwarded stretch ``[t0, t1)`` to the GT.
-
-        Nothing is fetched or committed inside a skip, and neither input
-        of :meth:`_try_fetch`'s GDN-backlog gate (a free frame, the cycle
-        the dispatch pipe frees) can change, so the GT sits in
-        ``gdn_backlog`` until the pipe is within prediction reach, exactly
-        as stepping would mark it, and is idle after.
-        """
-        mid = t0
-        if self.free_frames:
-            mid = max(t0, min(t1, self.dispatch_pipe_free
-                              - self._fetch_latency))
-        if mid > t0:
-            timeline.add(_tel.GDN_BACKLOG, t0, mid)
-        if mid < t1:
-            timeline.add(_tel.IDLE, mid, t1)
 
     def _next_fetch_target(self, t: int) -> Optional[Tuple[int, Tuple]]:
         """(address, trace-cause) of the next block to fetch, if known.
@@ -702,9 +668,7 @@ class TripsProcessor:
         # Don't claim a window slot while the dispatch pipe is backlogged:
         # a frame parked behind the GDN does no work and just shrinks the
         # effective in-flight window.
-        if self.dispatch_pipe_free > t + self._fetch_latency:
-            if self.tel is not None:
-                self._tel_gdn_blocked_t = t
+        if self.dispatch_pipe_free > t + self.fetch_latency:
             return
         nxt = self._next_fetch_target(t)
         if nxt is None:
@@ -732,13 +696,11 @@ class TripsProcessor:
 
         uid = self.next_uid
         self.next_uid += 1
-        seq = self.next_seq
-        self.next_seq += 1
 
         # I-cache: every chunk's IT bank must hold its line.
         miss_its = [k for k in range(1 + decoded.block.num_body_chunks)
                     if not self.icache[k].lookup(addr)]
-        dispatch_start = max(t + self._fetch_latency, self.dispatch_pipe_free)
+        dispatch_start = max(t + self.fetch_latency, self.dispatch_pipe_free)
         if miss_its:
             self.stats.icache_miss_blocks += 1
             self.stats.grn_messages += len(miss_its)
@@ -752,12 +714,11 @@ class TripsProcessor:
         self.dispatch_pipe_free = dispatch_start + min(
             self.config.dispatch_commands, decoded.dispatch_cycles)
 
-        block = BlockInst(uid=uid, seq=seq, addr=addr, frame=frame,
+        block = BlockInst(uid=uid, addr=addr, frame=frame,
                           decoded=decoded, fetch_t=t,
                           dispatch_start=dispatch_start)
         self.window.append(block)
         self.window_by_uid[uid] = block
-        self.window_by_seq[seq] = block
         self.unresolved += 1
         self.stats.blocks_fetched += 1
 
@@ -773,7 +734,7 @@ class TripsProcessor:
         events = self.block_events
         if events is not None:
             block.ev = events[uid] = BlockEvent(
-                uid=uid, addr=addr, seq=seq, frame=frame, cause=cause,
+                uid=uid, addr=addr, frame=frame, cause=cause,
                 fetch_t=t, dispatch_start=dispatch_start)
             self._tel_fetch_t = t
 
@@ -803,10 +764,9 @@ class TripsProcessor:
             self.rts[bank].dispatch_read(uid, slot, read, t)
         if live and insts:
             release = ("dispatch", t)
-            seq = block.seq
             ets = self.ets
             for et, slot, inst in insts:
-                ets[et].dispatch_inst(uid, seq, slot, inst, t, release)
+                ets[et].dispatch_inst(uid, slot, inst, t, release)
         if done:
             self._dispatch_done(block)
 
@@ -841,7 +801,7 @@ class TripsProcessor:
 
     def note_store_arrival(self, msg: MemRequest, src_dt: int, t: int) -> None:
         self.stats.dsn_messages += 3     # broadcast to the other three DTs
-        self.store_arrivals[(msg.seq, msg.lsid)] = (t, src_dt)
+        self.store_arrivals[(msg.block_uid, msg.lsid)] = (t, src_dt)
         block = self.window_by_uid.get(msg.block_uid)
         if block is None:
             return
@@ -878,7 +838,7 @@ class TripsProcessor:
         # mispredict detection: did we fetch (or will we fetch) the wrong
         # successor?
         predicted = block.pred_for_next.target if block.pred_for_next else None
-        younger = [b for b in self.window if b.seq > block.seq]
+        younger = [b for b in self.window if b.uid > block.uid]
         if younger and younger[0].addr != msg.target:
             self._flush_after(block, msg.target, "mispredict", t)
         elif not younger and predicted is not None and predicted != msg.target:
@@ -932,7 +892,7 @@ class TripsProcessor:
         dt_ack = 0
         for d, dt in enumerate(self.dts):
             arrive = t + d + 1
-            done = dt.commit_block(block.seq, arrive)
+            done = dt.commit_block(block.uid, arrive)
             dt_ack = max(dt_ack, done + d + 1)
         block.ack_t = max(rt_ack, dt_ack)
         # the commit command also flushes the block's leftover speculative
@@ -945,7 +905,7 @@ class TripsProcessor:
             if uid in et.stations:
                 et.flush(uids)
         for lsid in block.decoded.store_lsids:
-            self.store_arrivals.pop((block.seq, lsid), None)
+            self.store_arrivals.pop((uid, lsid), None)
         ev = block.ev
         if ev is not None:
             ev.commit_t = t
@@ -958,7 +918,6 @@ class TripsProcessor:
         if block.uid not in self.window_by_uid:
             return
         del self.window_by_uid[block.uid]
-        self.window_by_seq.pop(block.seq, None)
         # deallocation is almost always of the window head; remove by
         # index instead of rebuilding the whole list
         window = self.window
@@ -1003,9 +962,9 @@ class TripsProcessor:
     # ------------------------------------------------------------------
     # flush protocol
     # ------------------------------------------------------------------
-    def request_violation_flush(self, seq: int, dt_index: int, t: int) -> None:
-        """A DT detected a load-ordering violation in block ``seq``."""
-        victim = self.window_by_seq.get(seq)
+    def request_violation_flush(self, uid: int, dt_index: int, t: int) -> None:
+        """A DT detected a load-ordering violation in block ``uid``."""
+        victim = self.window_by_uid.get(uid)
         if victim is None:
             return
         self.stats.flushes_violation += 1
@@ -1017,19 +976,19 @@ class TripsProcessor:
                      reason: str, t: int) -> None:
         """Flush every block younger than ``block``; refetch the target."""
         self.stats.flushes_mispredict += 1
-        doomed = [b for b in self.window if b.seq > block.seq]
+        doomed = [b for b in self.window if b.uid > block.uid]
         self._do_flush(block, doomed, correct_target, reason, t)
 
     def _flush_from(self, victim: BlockInst, refetch: int, reason: str,
                     t: int) -> None:
-        doomed = [b for b in self.window if b.seq >= victim.seq]
-        older = self.window_by_seq.get(victim.seq - 1)
+        doomed = [b for b in self.window if b.uid >= victim.uid]
+        older = self.window_by_uid.get(victim.uid - 1)
         # The victim's own address is only an authoritative refetch target
         # when nothing older survives (the victim was the non-speculative
         # head).  Otherwise the surviving tail's branch resolution decides:
         # the victim may have been a wrong-path block whose "address" must
         # not override the predecessor's eventual resolution.
-        survivors = self.window and self.window[0].seq < victim.seq
+        survivors = self.window and self.window[0].uid < victim.uid
         self._do_flush(older, doomed,
                        refetch if not survivors else None, reason, t)
 
@@ -1042,7 +1001,6 @@ class TripsProcessor:
             return
         self.stats.gcn_messages += 1     # the flush wave
         uids = {b.uid for b in doomed}
-        seqs = {b.seq for b in doomed}
         # predictor repair: restore the oldest disturbed checkpoint, then
         # push the architecturally-correct exit of the resolving block
         restore_from = keep_tail if keep_tail is not None else None
@@ -1055,7 +1013,6 @@ class TripsProcessor:
             if block.resolved_next is None:
                 self.unresolved -= 1
             self.window_by_uid.pop(block.uid, None)
-            self.window_by_seq.pop(block.seq, None)
             self.free_frames.add(block.frame)
             self.frame_freed[block.frame] = (t, None)
             self.stats.blocks_flushed += 1
@@ -1067,16 +1024,16 @@ class TripsProcessor:
                 if self.trace is not None:
                     self.trace.note_flushed(block.uid)
         if doomed:
-            # the doomed set is always a seq-contiguous suffix of the
-            # (seq-ordered) window: truncate in place
+            # the doomed set is always a contiguous suffix of the
+            # (uid-ordered) window: truncate in place
             del self.window[len(self.window) - len(doomed):]
         for et in self.ets:
             et.flush(uids)
         for rt in self.rts:
             rt.flush(uids)
         for dt in self.dts:
-            dt.flush(uids, seqs)
-        for key in [k for k in self.store_arrivals if k[0] in seqs]:
+            dt.flush(uids)
+        for key in [k for k in self.store_arrivals if k[0] in uids]:
             del self.store_arrivals[key]
         resolver_key = keep_tail.branch_key if keep_tail is not None else None
         if new_target is None or new_target == EXIT_ADDRESS:
@@ -1105,17 +1062,17 @@ class TripsProcessor:
         DSN, or None while one has not yet arrived anywhere (its eventual
         delivery wakes the mesh, so the fast engine needs no estimate
         for it)."""
-        seq, lsid = key
+        uid = key[0]
         wake = 0
         for block in self.window:
-            if block.seq > seq:
+            if block.uid > uid:
                 break
             if block.commit_sent_t >= 0:
                 continue
             for s_lsid in block.decoded.store_lsids:
-                if (block.seq, s_lsid) >= key:
+                if (block.uid, s_lsid) >= key:
                     continue
-                arrival = self.store_arrivals.get((block.seq, s_lsid))
+                arrival = self.store_arrivals.get((block.uid, s_lsid))
                 if arrival is None:
                     return None
                 arr_t, src = arrival
@@ -1123,3 +1080,45 @@ class TripsProcessor:
                 if need > wake:
                     wake = need
         return wake
+
+
+def skip_idle(cores, sysmem) -> int:
+    """Jump ``cores`` and ``sysmem`` (None on the flat-latency L2) over a
+    stretch none of them can act in.
+
+    The one idle skip of both run loops: a lone core passes itself and
+    the memory system it holds; :class:`repro.chip.TripsChip` passes its
+    live cores, which share one clock, and the shared memory system.  The
+    target is the earliest cycle any of them can do work
+    (:meth:`TripsProcessor.next_work_t`,
+    :meth:`~repro.mem.sysmem.SecondaryMemory.next_work_t`), clamped to
+    the cycle budget: when none ever can, the clock burns straight to the
+    budget, as stepping would.  The skipped cycles still count — stats
+    read ``cycle``, so a 10,000-cycle DRAM wait reports 10,000 cycles
+    whether they were stepped or skipped — and telemetry charges them
+    with the stepped classifier.  Returns the cycle reached.
+    """
+    t = cores[0].cycle
+    target = cores[0].config.max_cycles
+    for core in cores:
+        work = core.next_work_t()
+        if work is not None:
+            if work <= t:
+                return t
+            target = min(target, work)
+    if sysmem is not None:
+        work = sysmem.next_work_t()
+        if work is not None:
+            if work <= t:
+                return t
+            target = min(target, work)
+    if target <= t:
+        return t
+    for core in cores:
+        if core.tel is not None:
+            core.tel.account_skip(t, target)
+        core.cycle = target
+        core.opn.fast_forward(target)
+    if sysmem is not None:
+        sysmem.fast_forward(target)
+    return target

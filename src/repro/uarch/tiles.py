@@ -80,7 +80,6 @@ class OperandMsg:
 @dataclass(slots=True)
 class MemRequest:
     block_uid: int
-    seq: int
     lsid: int
     is_store: bool
     address: Optional[int]         # None for nullified stores
@@ -109,13 +108,12 @@ class BranchMsg:
 class _Station:
     """One reservation station: an instruction plus its operand buffer."""
 
-    __slots__ = ("inst", "seq", "left", "right", "pred", "left_null",
+    __slots__ = ("inst", "left", "right", "pred", "left_null",
                  "right_null", "fired", "dead", "dispatch_t", "release",
                  "ready_t", "waiting")
 
     def __init__(self):
         self.inst = None
-        self.seq = -1
         self.left = None
         self.right = None
         self.pred = None
@@ -169,14 +167,13 @@ class ExecTile:
             station = per_block[slot] = _Station()
         return station
 
-    def dispatch_inst(self, block_uid: int, seq: int, slot: int, inst,
+    def dispatch_inst(self, block_uid: int, slot: int, inst,
                       t: int, release: Tuple) -> None:
         """Place a GDN-delivered instruction in its station.  The caller
         (the processor's dispatch group) has checked the block is live;
         ``release`` is the group's shared ``("dispatch", t)``."""
         station = self._station(block_uid, slot)
         station.inst = inst
-        station.seq = seq
         station.dispatch_t = t
         if self.proc.tel is not None and not station.ready():
             station.waiting = True
@@ -209,8 +206,8 @@ class ExecTile:
         ``release`` records the last-arriving requirement, which is what
         the critical-path analyzer walks backwards along.
 
-        Candidates carry ``(seq, slot, uid, station)`` so issue selection
-        is a single ``min()`` over the set — the (seq, slot) prefix is the
+        Candidates carry ``(uid, slot, station)`` so issue selection is a
+        single ``min()`` over the set — the (uid, slot) prefix is the
         age-ordered priority and is unique, so the station itself is
         never compared.  Commit and flush filter the set by uid, which
         keeps every member's station live and ready.
@@ -221,7 +218,7 @@ class ExecTile:
                 self._tel_waiting -= 1
             station.release = release
             station.ready_t = self.proc.cycle
-            self.candidates.add((station.seq, slot, block_uid, station))
+            self.candidates.add((block_uid, slot, station))
 
     # -- issue ------------------------------------------------------------
     def tick(self, t: int) -> None:
@@ -231,7 +228,7 @@ class ExecTile:
         if not candidates:
             return
         best = min(candidates)
-        station = best[3]
+        station = best[2]
         if self.div_busy_until > t and not station.inst.opcode.pipelined:
             # rare structural hazard: the oldest candidate is a divide
             # waiting on the busy divider (the one unpipelined unit);
@@ -239,15 +236,15 @@ class ExecTile:
             # scan's behaviour)
             best = None
             for cand in sorted(candidates):
-                if not cand[3].inst.opcode.pipelined:
+                if not cand[2].inst.opcode.pipelined:
                     continue
                 best = cand
                 break
             if best is None:
                 return
-            station = best[3]
+            station = best[2]
         candidates.discard(best)
-        key = (best[2], best[1])
+        key = best[:2]
         inst = station.inst
         # Predicate check at issue: mismatch kills the instruction.
         if inst.pred is not None:
@@ -322,7 +319,7 @@ class ExecTile:
             is_null = station.left_null or station.right_null
             address = None if is_null else \
                 (station.left + inst.imm) & MASK64
-            msg = MemRequest(key[0], block.seq, inst.lsid, True, address,
+            msg = MemRequest(key[0], inst.lsid, True, address,
                              op.access_size,
                              0 if is_null else station.right, is_null,
                              False, (), key, t)
@@ -335,7 +332,7 @@ class ExecTile:
                     self._route(key, target, 0, True, t)
                 return
             address = (station.left + inst.imm) & MASK64
-            msg = MemRequest(key[0], block.seq, inst.lsid, False, address,
+            msg = MemRequest(key[0], inst.lsid, False, address,
                              op.access_size, 0, False, op.sign_extends,
                              tuple(inst.targets), key, t)
         # nullified stores report to DT0
@@ -387,7 +384,7 @@ class ExecTile:
                         self._tel_waiting -= 1
         if self.candidates:
             self.candidates = {c for c in self.candidates
-                               if c[2] not in uids}
+                               if c[0] not in uids}
         if self.outbox:
             self.outbox = deque(p for p in self.outbox
                                 if p.payload.block_uid not in uids)
@@ -404,11 +401,6 @@ class ExecTile:
         if self._tel_waiting:
             return _tel.WAITING_OPERAND
         return _tel.IDLE
-
-    def tel_account(self, timeline, t0: int, t1: int) -> None:
-        """Charge a fast-forwarded stretch ``[t0, t1)`` to the timeline."""
-        state = _tel.WAITING_OPERAND if self._tel_waiting else _tel.IDLE
-        timeline.add(state, t0, t1)
 
 
 # ----------------------------------------------------------------------
@@ -511,7 +503,7 @@ class RegTile:
             return True
         block = self.proc.window_by_uid[block_uid]
         # search write queues of older in-flight blocks, youngest first
-        for older in self.proc.older_blocks(block.seq):
+        for older in self.proc.older_blocks(block_uid):
             queue = self.write_queues.get(older.uid)
             if not queue or read.reg not in queue:
                 continue
@@ -605,15 +597,6 @@ class RegTile:
             return _tel.WAITING_OPERAND
         return _tel.IDLE
 
-    def tel_account(self, timeline, t0: int, t1: int) -> None:
-        if self.commit_free_t > t0:
-            mid = min(self.commit_free_t, t1)
-            timeline.add(_tel.BUSY, t0, mid)
-            t0 = mid
-        if t0 < t1:
-            state = _tel.WAITING_OPERAND if self.waiting_reads else _tel.IDLE
-            timeline.add(state, t0, t1)
-
 
 # ----------------------------------------------------------------------
 # Data tile
@@ -666,7 +649,8 @@ class DataTile:
         for msg, _hops, _queue in self.deferred:
             if msg.block_uid not in live:
                 return t       # stale entry: the next tick drops it
-            work = proc.deferred_wake_t((msg.seq, msg.lsid), self.index)
+            work = proc.deferred_wake_t((msg.block_uid, msg.lsid),
+                                        self.index)
             if work is None:
                 continue       # gated on a store still in flight
             if work < t:
@@ -694,7 +678,7 @@ class DataTile:
         # traffic cannot starve the block the window is waiting on
         if self.requests:
             best = min(range(len(self.requests)),
-                       key=lambda i: (self.requests[i][0].seq,
+                       key=lambda i: (self.requests[i][0].block_uid,
                                       self.requests[i][0].lsid))
             msg, hops, queue, arrive_t = self.requests[best]
             del self.requests[best]
@@ -709,7 +693,7 @@ class DataTile:
 
     def _process_store(self, msg: MemRequest, t: int) -> None:
         self.stores += 1
-        key = (msg.seq, msg.lsid)
+        key = (msg.block_uid, msg.lsid)
         violators = self.lsq.insert_store(key, msg.address, msg.size,
                                           msg.data, msg.is_null)
         self.proc.note_store_arrival(msg, self.index, t)
@@ -722,7 +706,7 @@ class DataTile:
 
     def _process_load(self, msg: MemRequest, hops, queue, arrive_t,
                       t: int) -> None:
-        key = (msg.seq, msg.lsid)
+        key = (msg.block_uid, msg.lsid)
         if self.deppred.predict_dependent(msg.address) and \
                 not self.proc.prior_stores_arrived(key, self.index, t):
             self.deferred.append((msg, hops, queue))
@@ -737,7 +721,7 @@ class DataTile:
         for msg, hops, queue in self.deferred:
             if msg.block_uid not in self.proc.window_by_uid:
                 continue
-            key = (msg.seq, msg.lsid)
+            key = (msg.block_uid, msg.lsid)
             if self.proc.prior_stores_arrived(key, self.index, t):
                 self._execute_load(msg, t, hops, queue)
             else:
@@ -749,7 +733,7 @@ class DataTile:
         self.loads += 1
         if self.proc.tel is not None:
             self._tel_active_t = t     # covers deferred-load retries too
-        key = (msg.seq, msg.lsid)
+        key = (msg.block_uid, msg.lsid)
         self.lsq.insert_load(key, msg.address, msg.size)
         committed = self.proc.memory.read_bytes(msg.address, msg.size)
         raw = self.lsq.forward(key, msg.address, msg.size, committed)
@@ -816,9 +800,9 @@ class DataTile:
             self.outbox.popleft()
 
     # -- commit / flush ----------------------------------------------------------
-    def commit_block(self, seq: int, arrive_t: int) -> int:
+    def commit_block(self, block_uid: int, arrive_t: int) -> int:
         """Drain the block's stores to memory; returns the finish time."""
-        stores = self.lsq.commit_block(seq)
+        stores = self.lsq.commit_block(block_uid)
         for entry in stores:
             self.proc.memory.write(entry.address, entry.data, entry.size)
             self.cache.fill(entry.address)
@@ -828,8 +812,8 @@ class DataTile:
         self.commit_free_t = done
         return done
 
-    def flush(self, uids, seqs) -> None:
-        self.lsq.flush_blocks(seqs)
+    def flush(self, uids) -> None:
+        self.lsq.flush_blocks(uids)
         if self.requests:
             self.requests = deque(r for r in self.requests
                                   if r[0].block_uid not in uids)
@@ -844,22 +828,6 @@ class DataTile:
     def tel_state(self, t: int) -> str:
         if self._tel_active_t == t or self.commit_free_t > t:
             return _tel.BUSY        # serving a request or draining stores
-        return self._tel_waiting_state()
-
-    def tel_account(self, timeline, t0: int, t1: int) -> None:
-        if self.commit_free_t > t0:
-            mid = min(self.commit_free_t, t1)
-            timeline.add(_tel.BUSY, t0, mid)
-            t0 = mid
-        if t0 < t1:
-            # the fast engine can skip while a deferral waits on DSN
-            # propagation or a miss waits on memory
-            timeline.add(self._tel_waiting_state(), t0, t1)
-
-    def _tel_waiting_state(self) -> str:
-        """What the DT waits on in a cycle it serves nothing: one
-        precedence for stepped and skipped cycles alike (a skipped
-        stretch has an empty outbox and no queued request)."""
         if self.outbox:
             return _tel.OPN_BACKPRESSURE
         if self.lsq.is_full():

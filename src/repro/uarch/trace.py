@@ -61,7 +61,6 @@ class BlockEvent:
 
     uid: int
     addr: int
-    seq: int
     frame: int = -1
     cause: Tuple = ("init",)
     fetch_t: int = -1
@@ -126,7 +125,7 @@ class Trace:
 
     def committed_blocks(self) -> List[BlockEvent]:
         return sorted((b for b in self.blocks.values()
-                       if b.outcome == "committed"), key=lambda b: b.seq)
+                       if b.outcome == "committed"), key=lambda b: b.uid)
 
     # -- retention (``max_blocks``) -------------------------------------
     def note_flushed(self, uid: int) -> None:

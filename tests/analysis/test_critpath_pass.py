@@ -1,8 +1,8 @@
 """The bisect-indexed predecessor lookup must reproduce the original
 linear-scan critical paths exactly, on every registered workload.
 
-``_Walker`` now builds a seq-sorted index of committed blocks once and
-bisects for "latest committed block older than seq"; the original code
+``_Walker`` now builds a uid-sorted index of committed blocks once and
+bisects for "latest committed block older than uid"; the original code
 scanned every traced block per query (quadratic in run length).  The
 attribution itself — the backward walk over last-arrival edges — is
 untouched, so the reports must be identical field for field.
@@ -23,8 +23,8 @@ class _ScanWalker(_Walker):
     def _previous_committed(self, block):
         best = None
         for other in self.trace.blocks.values():
-            if other.outcome == "committed" and other.seq < block.seq:
-                if best is None or other.seq > best.seq:
+            if other.outcome == "committed" and other.uid < block.uid:
+                if best is None or other.uid > best.uid:
                     best = other
         return best
 

@@ -45,8 +45,9 @@ def test_cached_rows_preserve_column_order(serial_rows, tmp_path):
 
 
 def test_compare_specs_deterministic_across_modes(tmp_path):
-    specs = [RunSpec.compare("vadd", hand=True),
-             RunSpec.baseline("sha")]
+    # the three runs a TRIPS-vs-baseline comparison divides
+    specs = [RunSpec.baseline("vadd"), RunSpec.trips("vadd", level="tcc"),
+             RunSpec.trips("vadd", level="hand")]
     serial = run_specs(specs, workers=0)
     parallel = run_specs(specs, workers=2)
     assert json.dumps(serial) == json.dumps(parallel)

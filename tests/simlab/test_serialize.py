@@ -4,7 +4,6 @@ import json
 
 from repro.baseline.ooo import BaselineStats
 from repro.chip import ChipStats
-from repro.harness.runner import Comparison
 from repro.serialize import dataclass_from_dict, dataclass_to_dict
 from repro.uarch.proc import ProcStats
 
@@ -37,19 +36,6 @@ class TestBaselineStats:
         clone = BaselineStats.from_dict(_json_trip(stats.to_dict()))
         assert clone == stats
         assert clone.ipc == stats.ipc
-
-
-class TestComparison:
-    def test_round_trip(self):
-        cmp = Comparison(name="vadd", speedup_tcc=0.5, speedup_hand=1.5,
-                         ipc_alpha=3.0, ipc_tcc=1.2, ipc_hand=4.0)
-        assert Comparison.from_dict(_json_trip(cmp.to_dict())) == cmp
-
-    def test_none_hand_columns_survive(self):
-        cmp = Comparison(name="mcf", speedup_tcc=0.7, speedup_hand=None,
-                         ipc_alpha=1.0, ipc_tcc=0.9, ipc_hand=None)
-        clone = Comparison.from_dict(_json_trip(cmp.to_dict()))
-        assert clone.speedup_hand is None and clone.ipc_hand is None
 
 
 class TestChipStats:

@@ -29,7 +29,6 @@ class TestKeyStability:
             "vadd", level="hand",
             config=TripsConfig(speculative_blocks=0)).key
         assert base.key != RunSpec.baseline("vadd").key
-        assert base.key != RunSpec.compare("vadd").key
 
     def test_code_fingerprint_feeds_the_key(self):
         a = RunSpec.trips("vadd", fingerprint="aaaa")
@@ -41,10 +40,6 @@ class TestKeyStability:
         b = RunSpec.trips("vadd", config=TripsConfig(
             predictor=PredictorConfig(kind="static")))
         assert a.key != b.key
-
-    def test_compare_hand_flag_feeds_the_key(self):
-        assert RunSpec.compare("vadd", hand=True).key != \
-            RunSpec.compare("vadd", hand=False).key
 
     def test_size_and_sampling_feed_the_key(self):
         base = RunSpec.trips("mcf", level="tcc")
@@ -129,8 +124,8 @@ class TestRoundTrip:
         assert cfg.warm_horizon is None
 
     def test_dict_round_trip_preserves_identity(self):
-        spec = RunSpec.compare("conv", hand=True,
-                               config=TripsConfig(opn_links_per_hop=2))
+        spec = RunSpec.trips("conv", level="hand",
+                             config=TripsConfig(opn_links_per_hop=2))
         clone = RunSpec.from_dict(
             json.loads(json.dumps(spec.to_dict())))
         assert clone == spec
@@ -165,4 +160,3 @@ class TestLabels:
         assert RunSpec.trips("qr", level="hand",
                              trace=True).label == "trips:qr@hand +trace"
         assert RunSpec.baseline("qr").label == "baseline:qr"
-        assert "compare:mcf" in RunSpec.compare("mcf", hand=False).label

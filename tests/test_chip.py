@@ -4,6 +4,9 @@ import pytest
 
 from repro.chip import ChipError, TripsChip
 from repro.compiler import compile_tir
+from repro.uarch.config import TripsConfig
+from repro.uarch.proc import TripsProcessor
+from repro.workloads import get_workload
 from repro.tir import (
     Array,
     Assign,
@@ -50,6 +53,31 @@ class TestSingleCoreChip:
         got = compiled.extract_outputs(chip.cores[0].regs, chip.memory)
         assert got == interpret(prog).output_signature(prog.outputs)
         assert stats.ocn_requests > 0    # the NUCA path was exercised
+
+    @pytest.mark.parametrize("fast_path", [True, False],
+                             ids=["fast", "full_scan"])
+    @pytest.mark.parametrize("case", ["vadd@hand", "qr@hand", "mcf@tcc",
+                                      "sha@tcc"])
+    def test_one_core_chip_equals_lone_core(self, case, fast_path):
+        """The chip runs a lone core's cycle, skip and budget, so its one
+        core reports the same stats and the same telemetry summary —
+        skipped stretches included — as the core run alone."""
+        name, level = case.split("@")
+        program = compile_tir(get_workload(name), level=level).program
+        config = TripsConfig(perfect_l2=False, fast_path=fast_path)
+        lone = TripsProcessor(program, config=config, telemetry=True)
+        lone.run()
+        chip = TripsChip(program, config=config, telemetry=True)
+        chip.run()
+        core = chip.cores[0]
+        assert core.stats.to_dict() == lone.stats.to_dict()
+        assert core.tel.summary().to_dict() == lone.tel.summary().to_dict()
+
+    def test_chip_honours_the_config_cycle_budget(self):
+        program = compile_tir(producer_program(), level="hand").program
+        chip = TripsChip(program, config=TripsConfig(max_cycles=100))
+        with pytest.raises(ChipError, match="cycle budget 100 exhausted"):
+            chip.run()
 
 
 class TestDualCore:
@@ -111,20 +139,14 @@ class TestDualCore:
         # against placeholder addresses, so recompile with matching bases
         # is the honest route — instead we place the producer's data AT
         # the consumer's expected addresses via DMA after core 0 halts.
-        chip = TripsChip(p0.program, p1.program, max_cycles=2_000_000)
+        chip = TripsChip(p0.program, p1.program)
 
         # run until core 0 halts, DMA its results into core 1's region,
         # then raise core 1's flag
         while not chip.cores[0].halted:
             if chip.cycle > 1_000_000:
                 raise AssertionError("producer never finished")
-            for core in chip.cores:
-                if not core.halted:
-                    core.step()
-            chip.sysmem.step()
-            for core in chip.cores:
-                core.poll_sysmem()
-            chip.cycle += 1
+            chip.step()
         chip.dma_copy(out_addr, p1.array_addrs["shared"], 16 * 8)
         chip.memory.write(p1.array_addrs["sflag"], 1, 8)
         chip.run()

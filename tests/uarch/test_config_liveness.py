@@ -4,8 +4,11 @@ A field that no run can feel still enters every simlab cache key and
 every BENCH provenance record, so an ablation over it silently reports
 "no effect".  Each ``TripsConfig`` and ``PredictorConfig`` field therefore
 has a row here: a small workload, the overrides of its base run, and one
-perturbed value whose run must produce different ``ProcStats``.  A field
-added without a row fails :func:`test_every_field_has_a_row`.
+perturbed value whose run must produce different ``ProcStats``.  Each
+``BaselineConfig`` field has the same kind of row against
+``BaselineStats``.  A field added without a row fails
+:func:`test_every_field_has_a_row` or
+:func:`test_every_baseline_field_has_a_row`.
 """
 
 import dataclasses
@@ -15,7 +18,10 @@ from functools import lru_cache
 import pytest
 
 from repro.asm import assemble
+from repro.baseline.ooo import BaselineConfig, OooCore
+from repro.baseline.srisc import run_functional
 from repro.compiler import compile_tir
+from repro.compiler.srisc import compile_srisc
 from repro.uarch.config import PredictorConfig, TripsConfig
 from repro.uarch.proc import ProcError, TripsProcessor
 from repro.workloads import get_workload
@@ -63,6 +69,31 @@ RAISES = {"max_cycles"}
 #: difference, enforced by tests/uarch/test_fast_path.py
 EXEMPT = {"fast_path"}
 
+#: BaselineConfig field -> (workload, base overrides, perturbed value)
+BASELINE_ROWS = {
+    "fetch_width": ("vadd", {}, 8),
+    "frontend_depth": ("vadd", {}, 8),
+    "rob_entries": ("sha", {}, 160),
+    "int_alus": ("dct8x8", {}, 8),
+    "fp_units": ("dct8x8", {}, 1),
+    "mem_ports": ("vadd", {}, 4),
+    "commit_width": ("vadd", {}, 8),
+    "mispredict_penalty": ("sha", {}, 14),
+    "taken_bubble": ("vadd", {}, 2),
+    "l1d_kb": ("vadd", {}, 1),
+    "l1d_assoc": ("ct", {"l1d_kb": 1}, 1),
+    "line_bytes": ("vadd", {}, 128),
+    "l1_hit_cycles": ("vadd", {}, 6),
+    "l2_hit_cycles": ("vadd", {}, 24),
+    "int_mul_latency": ("dct8x8", {}, 14),
+    "int_div_latency": ("a2time01", {}, 40),
+    "fp_latency": ("vadd", {}, 8),
+    "fp_div_latency": ("qr", {}, 24),
+    "local_entries": ("mcf", {}, 512),
+    "global_entries": ("mcf", {}, 2048),
+    "cluster_penalty": ("vadd", {}, 2),
+}
+
 
 def _config(overrides) -> TripsConfig:
     top = {k: v for k, v in overrides if "." not in k}
@@ -98,6 +129,34 @@ def test_field_moves_procstats(field):
     assert field not in base
     before = _stats(workload, tuple(sorted(base.items())))
     after = _stats(workload, tuple(sorted({**base, field: value}.items())))
+    assert after != before
+
+
+@lru_cache(maxsize=None)
+def _srisc(workload: str):
+    program = compile_srisc(get_workload(workload))
+    return program, run_functional(program)
+
+
+@lru_cache(maxsize=None)
+def _baseline_stats(workload: str, overrides: tuple) -> dict:
+    program, functional = _srisc(workload)
+    config = BaselineConfig(**dict(overrides))
+    return OooCore(config).run(program, functional).to_dict()
+
+
+def test_every_baseline_field_has_a_row():
+    names = {f.name for f in dataclasses.fields(BaselineConfig)}
+    assert names == set(BASELINE_ROWS)
+
+
+@pytest.mark.parametrize("field", sorted(BASELINE_ROWS))
+def test_baseline_field_moves_stats(field):
+    workload, base, value = BASELINE_ROWS[field]
+    assert field not in base
+    before = _baseline_stats(workload, tuple(sorted(base.items())))
+    after = _baseline_stats(
+        workload, tuple(sorted({**base, field: value}.items())))
     assert after != before
 
 

@@ -68,7 +68,7 @@ class _PerItemDispatch(TripsProcessor):
 
     def _dispatch_one(self, block, et, slot, inst, t):
         if block.uid in self.window_by_uid:
-            self.ets[et].dispatch_inst(block.uid, block.seq, slot, inst, t,
+            self.ets[et].dispatch_inst(block.uid, slot, inst, t,
                                        ("dispatch", t))
 
 
