@@ -11,20 +11,22 @@ Run:  python examples/nuca_modes.py
 
 from repro.harness import run_trips_workload
 from repro.mem.backing import BackingStore
-from repro.mem.sysmem import SecondaryMemory, SysMemConfig
+from repro.mem.sysmem import SecondaryMemory
 from repro.uarch.config import TripsConfig
 
 
 def exercise(mode: str) -> None:
-    sysmem = SecondaryMemory(SysMemConfig(mode=mode))
+    sysmem = SecondaryMemory(mode)
     addresses = [0x100000 + 64 * i for i in range(32)]
     latencies = []
-    for port, addr in enumerate(addresses):
-        sysmem.request(port % 8, addr, False, meta=sysmem.cycle)
+    # processor 0's four ports: under split_l2 they see its eight banks
+    for i, addr in enumerate(addresses):
+        port = i % 4
+        sysmem.request(port, addr, False, meta=sysmem.cycle)
         sent = sysmem.cycle
         for _ in range(600):
             sysmem.step()
-            got = sysmem.take_responses(port % 8)
+            got = sysmem.take_responses(port)
             if got:
                 latencies.append(sysmem.cycle - sent)
                 break

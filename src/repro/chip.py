@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 
 from .isa import Program
 from .mem.backing import BackingStore
-from .mem.sysmem import SecondaryMemory, SysMemConfig
+from .mem.sysmem import SecondaryMemory
 from .serialize import dataclass_from_dict, dataclass_to_dict
 from .uarch.config import TripsConfig
 from .uarch.proc import ProcStats, TripsProcessor, skip_idle
@@ -68,10 +68,8 @@ class TripsChip:
             config = config.with_overrides(perfect_l2=False)
         self.config = config
         self.memory = BackingStore()
-        self.sysmem = SecondaryMemory(
-            SysMemConfig(mode=memory_mode, dram_cycles=config.dram_cycles,
-                         active_set=config.fast_path),
-            backing=self.memory)
+        self.sysmem = SecondaryMemory(memory_mode, config,
+                                      backing=self.memory)
 
         self._check_disjoint(program0, program1)
         self.cores: List[TripsProcessor] = []

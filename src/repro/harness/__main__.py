@@ -75,18 +75,6 @@ def main(argv=None) -> int:
                     help="simlab result-cache directory (default: off)")
     sub.add_parser("floorplan", help="Figure 6: chip floorplan")
     sub.add_parser("list", help="list the benchmark suite")
-    bench_p = sub.add_parser(
-        "bench", help="engine throughput: fast path vs. escape hatch")
-    bench_p.add_argument("workloads", nargs="*", default=None,
-                         help="subset of benchmarks (default: Table 3 sweep)")
-    bench_p.add_argument("--smoke", action="store_true",
-                         help="three-workload CI subset")
-    bench_p.add_argument("--repeat", type=int, default=2, metavar="N",
-                         help="best-of-N timing per engine (default 2)")
-    bench_p.add_argument("--out", default="BENCH_engine.json", metavar="FILE",
-                         help="JSON report path (default BENCH_engine.json)")
-    bench_p.add_argument("--json", action="store_true",
-                         help="emit the report on stdout as well")
     prof_p = sub.add_parser(
         "profile", help="cProfile the simulation loop of one workload")
     prof_p.add_argument("workload")
@@ -184,16 +172,6 @@ def main(argv=None) -> int:
             print(json.dumps(rows, indent=2))
         else:
             print(render_table(rows, "Table 3: overheads and performance"))
-    elif args.command == "bench":
-        from .bench import run_bench
-        report = run_bench(smoke=args.smoke, repeat=args.repeat,
-                           workloads=args.workloads or None, out=args.out,
-                           log=lambda message: print(message,
-                                                     file=sys.stderr))
-        if args.json:
-            print(json.dumps(report, indent=2))
-        if not report["equivalent"]:
-            return 1
     elif args.command == "profile":
         from .profile import profile_workload
         print(profile_workload(args.workload, level=args.level,

@@ -35,11 +35,17 @@ tier records speedups without asserting the 20x target.
 from __future__ import annotations
 
 import json
+import math
+import platform
+import subprocess
+import time
+from dataclasses import asdict
+from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sampling import SamplingConfig
 from ..sampling.validate import measure_error
-from .bench import _geomean, provenance
+from ..uarch.config import TripsConfig
 
 #: the full-size tier: (workload, size, sampling geometry).  Sizes put
 #: every case in the ~300-400k committed-block range (minutes of full
@@ -160,3 +166,35 @@ def run_sampling_bench(smoke: bool = False,
             fh.write("\n")
         say(f"wrote {out}")
     return report
+
+
+def _git_rev() -> str:
+    """Short commit hash of the working tree, or "unknown"."""
+    root = Path(__file__).resolve().parents[3]
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"], cwd=root,
+            capture_output=True, text=True, timeout=10)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
+
+
+def provenance() -> Dict:
+    """Where and with what a benchmark report was produced — enough to
+    judge whether two reports' absolute numbers are comparable."""
+    return {
+        "host": platform.node(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "git_rev": _git_rev(),
+        "created_utc": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "config": asdict(TripsConfig()),
+    }
+
+
+def _geomean(values: List[float]) -> float:
+    positive = [v for v in values if v > 0]
+    if not positive:
+        return 0.0
+    return math.exp(sum(math.log(v) for v in positive) / len(positive))

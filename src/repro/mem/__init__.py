@@ -2,12 +2,12 @@
 
 * :mod:`repro.mem.backing` — flat byte-addressable backing store used by
   every execution model.
-* :mod:`repro.mem.ocn` — the 4x10 wormhole-routed on-chip network.
 * :mod:`repro.mem.mt` — memory tiles (64KB NUCA banks with routers).
 * :mod:`repro.mem.nt` — network tiles (programmable request routing).
-* :mod:`repro.mem.sysmem` — the configurable secondary system: 1MB shared
-  L2, split 512KB L2s, scratchpad mappings, and the OCN I/O clients (SDC,
-  DMA, EBC, C2C).
+* :mod:`repro.mem.sysmem` — the configurable secondary system over the
+  4x10 wormhole-routed on-chip network: 1MB shared L2, split 512KB L2s
+  (one per processor), scratchpad mappings, SDRAM latency and programmed
+  DMA.
 """
 
 from .backing import BackingStore

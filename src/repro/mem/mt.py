@@ -8,28 +8,24 @@ mode the bank is directly-addressed on-chip memory and never misses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Tuple
 
 from ..uarch.caches import CacheBank
 
-
-@dataclass
-class MtConfig:
-    size_kb: int = 64
-    assoc: int = 4
-    line_bytes: int = 64
-    bank_latency: int = 4          # SRAM access pipeline
+#: one NUCA bank's geometry: 64KB, 4-way, 64-byte lines
+BANK_KB = 64
+BANK_ASSOC = 4
+LINE_BYTES = 64
+#: SRAM access pipeline, in cycles
+BANK_LATENCY = 4
 
 
 class MemoryTile:
     """One NUCA bank."""
 
-    def __init__(self, index: int, config: MtConfig = None):
+    def __init__(self, index: int):
         self.index = index
-        self.config = config or MtConfig()
-        self.bank = CacheBank(self.config.size_kb * 1024, self.config.assoc,
-                              self.config.line_bytes)
+        self.bank = CacheBank(BANK_KB * 1024, BANK_ASSOC, LINE_BYTES)
         self.mode = "l2"                  # "l2" | "scratch"
         self.mshr_busy_until = 0
         self.hits = 0
@@ -52,17 +48,17 @@ class MemoryTile:
         """
         if self.mode == "scratch":
             self.scratch_accesses += 1
-            return now + self.config.bank_latency, False
+            return now + BANK_LATENCY, False
         if self.bank.lookup(address):
             self.hits += 1
-            return now + self.config.bank_latency, False
+            return now + BANK_LATENCY, False
         self.misses += 1
         start = now
         if self.mshr_busy_until > now:
             self.mshr_stalls += 1
             start = self.mshr_busy_until
         self.bank.fill(address)
-        return start + self.config.bank_latency, True
+        return start + BANK_LATENCY, True
 
     def note_refill(self, done_at: int) -> None:
         self.mshr_busy_until = done_at

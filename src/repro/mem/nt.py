@@ -32,7 +32,6 @@ class NetworkTile:
         self.index = index
         self.entries: List[RouteEntry] = []
         self.interleave: Optional[Callable[[int], int]] = None
-        self.routed = 0
 
     def program_interleave(self, fn: Callable[[int], int]) -> None:
         """Install a hashing/interleaving function (e.g. line-granularity
@@ -47,7 +46,6 @@ class NetworkTile:
 
     def route(self, address: int) -> int:
         """Home MT index for ``address``."""
-        self.routed += 1
         if self.interleave is not None:
             return self.interleave(address)
         for entry in self.entries:

@@ -4,7 +4,11 @@ Topology: a 4x10 wormhole-routed mesh with 16-byte links and four virtual
 channels.  The 16 memory tiles occupy the two middle columns; the network
 tiles on the outer columns are the translation agents where processors and
 I/O controllers attach.  Aligning the OCN with the DTs gives each IT/DT
-pair a private port into the memory system.
+pair a private port into the memory system.  The model keeps the eight
+network tiles of the processor ports, the only ones requests route
+through; the bank geometry lives in :mod:`repro.mem.mt`, and the SDRAM
+latency and engine choice come from the core's
+:class:`~repro.uarch.config.TripsConfig`.
 
 Clients call :meth:`SecondaryMemory.request`; responses come back through
 :meth:`take_responses` after the request packet crosses the OCN, the home
@@ -21,29 +25,19 @@ physical memory, no L2).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Tuple
 
+from ..uarch.config import PROTOTYPE, TripsConfig
 from ..uarch.mesh import Packet, WormholeMesh
 from .backing import BackingStore
-from .mt import MemoryTile, MtConfig
+from .mt import BANK_LATENCY, LINE_BYTES, MemoryTile
 from .nt import NetworkTile, RouteEntry
 
 ROWS, COLS = 10, 4
-LINE_BYTES = 64
+OCN_VCS = 4
 FLIT_BYTES = 16
 DATA_FLITS = LINE_BYTES // FLIT_BYTES  # 4 data flits per line
-
-
-@dataclass
-class SysMemConfig:
-    mode: str = "shared_l2"     # shared_l2 | split_l2 | scratchpad
-    dram_cycles: int = 80
-    mt: MtConfig = field(default_factory=MtConfig)
-    vcs: int = 4
-    #: False selects the full-scan OCN router loop (escape hatch, mirrors
-    #: :attr:`repro.uarch.config.TripsConfig.fast_path`)
-    active_set: bool = True
 
 
 @dataclass
@@ -56,26 +50,29 @@ class _Request:
 
 
 class SecondaryMemory:
-    """The full 1MB NUCA array plus its I/O clients."""
+    """The full 1MB NUCA array, its processor ports and programmed DMA."""
 
     #: processor-port NT coordinates: 8 per side column — each IT/DT pair
-    #: of each processor gets a private port (Section 3.6).
+    #: of each processor gets a private port (Section 3.6): processor 0
+    #: owns ports 0-3, processor 1 ports 4-7.
     PROC_PORTS = [(r, 3) for r in range(8)]
-    #: I/O clients on the west edge.
-    IO_PORTS = {"sdc0": (1, 0), "sdc1": (6, 0), "dma0": (0, 0),
-                "dma1": (8, 0), "ebc": (4, 0), "c2c": (9, 0)}
 
-    def __init__(self, config: SysMemConfig = None,
+    def __init__(self, mode: str = "shared_l2",
+                 config: TripsConfig = PROTOTYPE,
                  backing: Optional[BackingStore] = None):
-        self.config = config or SysMemConfig()
+        """``mode`` is one of Section 3.6's configurations; ``config``
+        supplies ``dram_cycles`` and ``fast_path`` (False selects the
+        full-scan OCN router loop, like the core's)."""
+        self.config = config
         self.backing = backing if backing is not None else BackingStore()
-        self.ocn = WormholeMesh(ROWS, COLS, vcs=self.config.vcs,
-                                queue_depth=2,
-                                active_set=self.config.active_set)
+        self.ocn = WormholeMesh(ROWS, COLS, vcs=OCN_VCS, queue_depth=2,
+                                active_set=config.fast_path)
         # 16 MTs in the two middle columns
         self.mt_coords = [(r, c) for c in (1, 2) for r in range(8)]
-        self.mts = [MemoryTile(i, self.config.mt) for i in range(16)]
-        self.nts = [NetworkTile(i) for i in range(24)]
+        self.mts = [MemoryTile(i) for i in range(16)]
+        # one NT per processor port: the translation agent its requests
+        # route through
+        self.nts = [NetworkTile(i) for i in range(len(self.PROC_PORTS))]
         self._responses: Dict[int, List[object]] = {}
         self._resp_count = 0      # total queued responses across ports
         # min-heap of (done_at, seq, request, mt index); the seq tiebreak
@@ -88,13 +85,13 @@ class SecondaryMemory:
         self.stats = {"requests": 0, "dram_accesses": 0, "dma_copies": 0}
         #: optional :class:`repro.telemetry.recorder.SysMemTelemetry` sink
         self.telemetry = None
-        self.configure(self.config.mode)
+        self.configure(mode)
 
     # ------------------------------------------------------------------
     # configuration (Section 3.6's mapping flexibility)
     # ------------------------------------------------------------------
     def configure(self, mode: str) -> None:
-        self.config.mode = mode
+        self.mode = mode
         if mode == "shared_l2":
             for nt in self.nts:
                 nt.program_interleave(
@@ -102,11 +99,12 @@ class SecondaryMemory:
             for mt in self.mts:
                 mt.configure("l2")
         elif mode == "split_l2":
-            # processor 0's ports use banks 0..7, processor 1's use 8..15;
-            # we model processor 0 (ports 0-3) and leave 4-7 for proc 1
-            for nt in self.nts:
+            # two independent 512KB caches: processor 0's ports (0-3)
+            # interleave over banks 0..7, processor 1's (4-7) over 8..15
+            for port, nt in enumerate(self.nts):
+                half = 8 * (port // 4)
                 nt.program_interleave(
-                    lambda addr: (addr // LINE_BYTES) % 8)
+                    lambda addr, half=half: half + (addr // LINE_BYTES) % 8)
             for mt in self.mts:
                 mt.configure("l2")
         elif mode == "scratchpad":
@@ -131,8 +129,7 @@ class SecondaryMemory:
         """Issue a line request from processor port ``port`` (0..7)."""
         self.stats["requests"] += 1
         src = self.PROC_PORTS[port]
-        nt = self.nts[port % len(self.nts)]
-        mt_index = nt.route(address)
+        mt_index = self.nts[port].route(address)
         dest = self.mt_coords[mt_index]
         req = _Request(port=port, address=address, is_write=is_write,
                        meta=meta, issued=self.cycle)
@@ -194,7 +191,7 @@ class SecondaryMemory:
         # pending-set check skips 24 per-coordinate scans on quiet cycles)
         # fast engine: visit only coordinates with packets waiting; the
         # escape hatch keeps the original engine's unconditional scan
-        pending = self.ocn.delivery_pending if self.config.active_set \
+        pending = self.ocn.delivery_pending if self.config.fast_path \
             else None
         if pending is None or pending:
             take = self.ocn.take_delivered
@@ -250,5 +247,5 @@ class SecondaryMemory:
         data = self.backing.read_bytes(src_addr, nbytes)
         self.backing.write_bytes(dst_addr, data)
         lines = -(-nbytes // LINE_BYTES)
-        per_line = 2 * (DATA_FLITS + 1) + 2 * self.config.mt.bank_latency
+        per_line = 2 * (DATA_FLITS + 1) + 2 * BANK_LATENCY
         return self.cycle + lines * per_line

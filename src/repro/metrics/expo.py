@@ -3,10 +3,9 @@
 ``python -m repro.simlab metrics`` is the consumer: it rebuilds a
 registry from the persisted event log (plus live cache gauges) and
 dumps it here.  Both renderings carry provenance — git revision, host,
-creation time — reusing :func:`repro.harness.bench.provenance`, so a
+creation time — reusing :func:`repro.harness.sbench.provenance`, so a
 scraped exposition can always be traced to the source tree that
-produced the numbers (the same discipline ``BENCH_engine.json``
-follows).
+produced the numbers (the same record ``BENCH_sampling.json`` carries).
 
 The text format follows the Prometheus exposition conventions that
 :func:`repro.metrics.check.lint_prometheus` enforces: ``# HELP`` and
@@ -28,7 +27,7 @@ BUILD_INFO_KEYS = ("git_rev", "host", "python", "created_utc")
 def _provenance() -> Dict:
     # Imported lazily: repro.harness pulls in the simulator stack, and
     # exposition must stay importable from lightweight tooling.
-    from ..harness.bench import provenance
+    from ..harness.sbench import provenance
     return provenance()
 
 

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..isa import EXIT_ADDRESS, OperandKind, Program, TripsBlock
 from ..isa.alu import _BINOP, _IMMOP, _UNOP
 from ..isa.opcodes import ACCESS_SIZE, Opcode, OpClass, SIGNED_LOADS
-from ..mem.mt import MtConfig
+from ..mem.mt import BANK_ASSOC, BANK_KB, LINE_BYTES
 from ..tir import semantics
 from ..uarch.caches import CacheBank
 from ..uarch.config import PROTOTYPE, TripsConfig
@@ -601,9 +601,8 @@ class FastForwarder(FunctionalSim):
         self.dcache = [CacheBank(config.l1d_bank_kb * 1024,
                                  config.l1d_assoc, config.line_bytes)
                        for _ in range(4)]
-        mt = MtConfig()
         self.mt_banks = None if config.perfect_l2 else \
-            [CacheBank(mt.size_kb * 1024, mt.assoc, mt.line_bytes)
+            [CacheBank(BANK_KB * 1024, BANK_ASSOC, LINE_BYTES)
              for _ in range(16)]
         self.fallback_blocks = 0
         self._fns: Dict[int, object] = {}

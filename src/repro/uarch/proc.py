@@ -240,10 +240,10 @@ class TripsProcessor:
         between the chip's two cores (see :class:`repro.chip.TripsChip`,
         whose ``step`` then drives the core instead of :meth:`step`);
         ``sysmem_port_base`` selects which OCN ports this core's IT/DT
-        pairs own (0 for processor 0, 4 for processor 1).  ``trace`` may
-        be a pre-built :class:`Trace` (e.g. one with a ``max_blocks``
-        retention bound) instead of a bool.  ``telemetry=True`` enables
-        the :mod:`repro.telemetry` probe layer.  Both read one
+        pairs own (0 for processor 0, 4 for processor 1).
+        ``trace=True`` records the :class:`Trace` the critical-path
+        analysis walks; ``telemetry=True`` enables the
+        :mod:`repro.telemetry` probe layer.  Both read one
         :class:`~repro.uarch.trace.BlockEvent` per fetched block; with
         both off every probe site reduces to one pointer compare.
         ``checkpoint`` resumes from a
@@ -271,11 +271,8 @@ class TripsProcessor:
         elif config.perfect_l2:
             self.sysmem = None
         else:
-            from ..mem.sysmem import SecondaryMemory, SysMemConfig
-            self.sysmem = SecondaryMemory(
-                SysMemConfig(dram_cycles=config.dram_cycles,
-                             active_set=config.fast_path),
-                backing=self.memory)
+            from ..mem.sysmem import SecondaryMemory
+            self.sysmem = SecondaryMemory(config=config, backing=self.memory)
         self.ets = [ExecTile(self, i) for i in range(16)]
         self.rts = [RegTile(self, b) for b in range(4)]
         self.dts = [DataTile(self, d) for d in range(4)]
@@ -297,8 +294,8 @@ class TripsProcessor:
         # per-Program decode cache, shared across processor instances:
         # DecodedBlock is immutable once built (it is already reused by
         # every BlockInst of a run), so re-simulating the same program —
-        # the bench harness, the fast-path equivalence tests — skips the
-        # decode warmup entirely
+        # perfbench's Table-3 sweep, the fast-path equivalence tests —
+        # skips the decode warmup entirely
         self._decoded: Dict[int, DecodedBlock] = _decode_cache_for(program)
         # timed-event calendar: per-cycle buckets of ``(fn, args)`` entries
         # (insertion order == the old (cycle, seq) heap order) plus a heap
@@ -306,8 +303,7 @@ class TripsProcessor:
         # heap-push, and no closure per event
         self._ev_buckets: Dict[int, List[Tuple]] = {}
         self._ev_times: List[int] = []
-        self.trace: Optional[Trace] = trace if isinstance(trace, Trace) \
-            else (Trace() if trace else None)
+        self.trace: Optional[Trace] = Trace() if trace else None
 
         # block window
         # uids count fetches, so they are also the blocks' program order
@@ -935,8 +931,6 @@ class TripsProcessor:
         self.stats.blocks_committed += 1
         self.stats.insts_committed += block.fired
         self.stats.reads_committed += block.reads_count
-        if self.trace is not None:
-            self.trace.note_deallocated(block.uid)
         # predictor training with the architectural outcome
         self.predictor.train(
             block.addr, block.branch_exit, block.resolved_next,
@@ -981,16 +975,18 @@ class TripsProcessor:
 
     def _flush_from(self, victim: BlockInst, refetch: int, reason: str,
                     t: int) -> None:
-        doomed = [b for b in self.window if b.uid >= victim.uid]
-        older = self.window_by_uid.get(victim.uid - 1)
-        # The victim's own address is only an authoritative refetch target
-        # when nothing older survives (the victim was the non-speculative
-        # head).  Otherwise the surviving tail's branch resolution decides:
-        # the victim may have been a wrong-path block whose "address" must
-        # not override the predecessor's eventual resolution.
-        survivors = self.window and self.window[0].uid < victim.uid
-        self._do_flush(older, doomed,
-                       refetch if not survivors else None, reason, t)
+        # The surviving tail is the block just before the victim in the
+        # window; uids are never reused, so after an earlier flush it need
+        # not be uid ``victim.uid - 1``.  The victim's own address is only an
+        # authoritative refetch target when nothing older survives (the
+        # victim was the non-speculative head).  Otherwise the surviving
+        # tail's branch resolution decides: the victim may have been a
+        # wrong-path block whose "address" must not override the
+        # predecessor's eventual resolution.
+        i = self.window.index(victim)
+        tail = self.window[i - 1] if i else None
+        self._do_flush(tail, self.window[i:],
+                       refetch if tail is None else None, reason, t)
 
     def _do_flush(self, keep_tail: Optional[BlockInst],
                   doomed: List[BlockInst], new_target: Optional[int],
@@ -1021,8 +1017,6 @@ class TripsProcessor:
                 ev.outcome = "flushed"
                 ev.flush_reason = reason
                 ev.flush_t = t
-                if self.trace is not None:
-                    self.trace.note_flushed(block.uid)
         if doomed:
             # the doomed set is always a contiguous suffix of the
             # (uid-ordered) window: truncate in place

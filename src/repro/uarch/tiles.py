@@ -152,7 +152,6 @@ class ExecTile:
         self.candidates: set = set()
         self.div_busy_until = 0
         self.outbox: deque = deque()
-        self.issued = 0
         # telemetry (maintained only when proc.tel is not None)
         self._tel_waiting = 0      # dispatched stations missing operands
         self._tel_issue_t = -1     # cycle of the most recent issue
@@ -253,7 +252,6 @@ class ExecTile:
                 station.dead = True
                 return
         station.fired = True
-        self.issued += 1
         proc = self.proc
         if proc.tel is not None:
             self._tel_issue_t = t

@@ -1,8 +1,9 @@
-"""BENCH_engine.json provenance: enough context to compare reports."""
+"""Benchmark-report provenance: enough context to compare reports."""
 
 import json
 
-from repro.harness.bench import provenance, run_bench
+from repro.harness.sbench import provenance, run_sampling_bench
+from repro.sampling import SamplingConfig
 
 
 def test_provenance_fields():
@@ -16,12 +17,13 @@ def test_provenance_fields():
 
 
 def test_bench_report_carries_provenance(tmp_path):
-    out = tmp_path / "bench.json"
-    report = run_bench(workloads=["vadd"], repeat=1, out=str(out))
+    out = tmp_path / "sbench.json"
+    case = ("mcf", 2, SamplingConfig(interval_blocks=1200, warmup_blocks=60,
+                                     measure_blocks=100))
+    report = run_sampling_bench(cases=[case], out=str(out))
     on_disk = json.loads(out.read_text())
     assert on_disk == report
     for field in ("host", "platform", "python", "git_rev",
                   "created_utc", "config"):
         assert field in report, field
-    assert report["equivalent"] is True
     assert report["config"] == provenance()["config"]

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.mem.backing import BackingStore
-from repro.mem.mt import MemoryTile, MtConfig
+from repro.mem.mt import MemoryTile
 from repro.mem.nt import NetworkTile, RouteEntry
-from repro.mem.sysmem import SecondaryMemory, SysMemConfig
+from repro.mem.sysmem import SecondaryMemory
 
 
 def drain(sysmem, port, cycles=500):
@@ -98,7 +98,7 @@ class TestSecondaryMemory:
         assert len(touched) == 8     # line interleaving spreads the banks
 
     def test_scratchpad_mode_skips_dram(self):
-        sysmem = SecondaryMemory(SysMemConfig(mode="scratchpad"))
+        sysmem = SecondaryMemory("scratchpad")
         sysmem.request(0, 0x100000 + 5 * 65536 + 128, False, meta="x")
         got = drain(sysmem, 0)
         assert got == ["x"]
@@ -113,19 +113,24 @@ class TestSecondaryMemory:
         assert all(mt.mode == "l2" for mt in sysmem.mts)
 
     def test_split_mode_uses_eight_banks(self):
-        sysmem = SecondaryMemory(SysMemConfig(mode="split_l2"))
-        for i in range(16):
-            sysmem.request(i % 8, 0x300000 + 64 * i, False, meta=i)
-        got = []
-        for _ in range(1500):
-            sysmem.step()
-            for p in range(8):
-                got.extend(sysmem.take_responses(p))
-            if len(got) == 16:
-                break
-        assert len(got) == 16
-        touched = [mt.index for mt in sysmem.mts if mt.misses]
-        assert max(touched) <= 7
+        """Two independent 512KB caches: processor 0's ports (0-3) reach
+        only banks 0-7 and processor 1's (4-7) only banks 8-15."""
+        halves = ((range(4), range(8)), (range(4, 8), range(8, 16)))
+        for ports, banks in halves:
+            sysmem = SecondaryMemory("split_l2")
+            ports = list(ports)
+            for i in range(16):
+                sysmem.request(ports[i % 4], 0x300000 + 64 * i, False, meta=i)
+            got = []
+            for _ in range(1500):
+                sysmem.step()
+                for p in ports:
+                    got.extend(sysmem.take_responses(p))
+                if len(got) == 16:
+                    break
+            assert len(got) == 16
+            touched = [mt.index for mt in sysmem.mts if mt.misses]
+            assert touched == list(banks)
 
     def test_dma_copy_moves_bytes(self):
         backing = BackingStore()

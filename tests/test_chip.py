@@ -104,6 +104,31 @@ class TestDualCore:
         got1 = p1.extract_outputs(chip.cores[1].regs, chip.memory)
         assert got1 == interpret(prog1).output_signature(prog1.outputs)
 
+    def test_split_l2_gives_each_core_its_own_half(self):
+        """Section 3.6's split configuration: two independent 512KB
+        caches.  Core 0's ports (0-3) reach only banks 0-7, core 1's
+        (4-7) only banks 8-15, and both programs still compute."""
+        p0 = compile_tir(get_workload("vadd"), level="hand",
+                         base=0x1000, data_base=0x100000)
+        p1 = compile_tir(get_workload("mcf"), level="tcc",
+                         base=0x40000, data_base=0x180000)
+        chip = TripsChip(p0.program, p1.program, memory_mode="split_l2")
+        banks = {0: set(), 1: set()}
+        request = chip.sysmem.request
+
+        def spy(port, address, is_write, meta):
+            banks[port // 4].add(chip.sysmem.nts[port].route(address))
+            request(port, address, is_write, meta)
+
+        chip.sysmem.request = spy
+        chip.run()
+        assert banks[0] and banks[0] <= set(range(8))
+        assert banks[1] and banks[1] <= set(range(8, 16))
+        for compiled, core in zip((p0, p1), chip.cores):
+            got = compiled.extract_outputs(core.regs, chip.memory)
+            assert got == interpret(compiled.tir).output_signature(
+                compiled.tir.outputs)
+
     def test_overlapping_programs_rejected(self):
         p0 = compile_tir(producer_program(), level="hand")
         p1 = compile_tir(producer_program(), level="hand")
