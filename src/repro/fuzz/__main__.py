@@ -155,7 +155,7 @@ def main(argv=None) -> int:
     run.add_argument("--n", type=int, default=200,
                      help="number of programs (default 200)")
     run.add_argument("--checks", type=_parse_checks,
-                     default=ALL_CHECKS, metavar="arch,engines,asm",
+                     default=ALL_CHECKS, metavar="arch,engines,asm,ffwd",
                      help="comma-separated check families (default: all)")
     run.add_argument("--shard-size", type=int, default=25,
                      help="seeds per simlab shard (default 25)")

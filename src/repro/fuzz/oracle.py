@@ -1,6 +1,6 @@
 """The differential oracle: one program, every independent execution path.
 
-Three check families, each exercising a different seam of the stack:
+Four check families, each exercising a different seam of the stack:
 
 * ``arch`` — architectural outputs.  The TIR interpreter is golden; the
   block-atomic functional simulator (both compile levels), the SRISC/OOO
@@ -13,15 +13,20 @@ Three check families, each exercising a different seam of the stack:
   ``fast_forward`` record.
 * ``asm`` — the assembler↔disassembler text round trip must reproduce
   the program's memory image exactly.
+* ``ffwd`` — the sampling tier's compiled fast-forwarder, cold (the
+  profiling pass's loop, collecting BBVs) and warm, must match the
+  functional simulator on registers, memory and every counter at both
+  compile levels, without falling back to the interpreter.
 
 Any exception raised by a stage (compile error, simulator deadlock) is
 itself a divergence — those are precisely the crashes fuzzing exists to
 find.  Results are plain dicts so shards can ship them through simlab.
 
 The checks of one :func:`run_case` share an :class:`Artifacts` record,
-so each compile level is compiled once and the production-engine run of
+so each compile level is compiled once, the production-engine run of
 ``arch:cycle`` stands in for the engine tier with the same
-configuration.  Every comparison still runs, on the same values.
+configuration, and ``arch``'s functional-simulator runs are ``ffwd``'s
+reference.  Every comparison still runs, on the same values.
 """
 
 from __future__ import annotations
@@ -33,7 +38,11 @@ from typing import Dict, List, Optional, Union
 from .gen import GenConfig, generate
 
 #: check families in canonical order.
-ALL_CHECKS = ("arch", "engines", "asm")
+ALL_CHECKS = ("arch", "engines", "asm", "ffwd")
+
+#: the cold fast-forward pass's BBV interval: short, so that a generated
+#: program of a few dozen blocks still closes several intervals
+FFWD_BBV_INTERVAL = 8
 
 #: the two cycle-engine tiers under test (overrides on TripsConfig).
 ENGINE_TIERS = {
@@ -76,9 +85,10 @@ class Artifacts:
     """What the checks of one program compute once and then share.
 
     A record lives for one :func:`run_case` call; a check called without
-    one builds its own.  Each compile level is compiled once, and
-    ``production`` keeps the outcome of ``arch:cycle``'s run: the hand
-    program on :data:`~repro.uarch.config.PROTOTYPE` with telemetry off.
+    one builds its own.  Each compile level is compiled once and run once
+    on the functional simulator, and ``production`` keeps the outcome of
+    ``arch:cycle``'s run: the hand program on
+    :data:`~repro.uarch.config.PROTOTYPE` with telemetry off.
     An outcome is the value or the exception computing it raised, so a
     failure reaches every stage that asks for it, with the same detail.
     Nothing outlives the record: TIR programs are mutable.
@@ -87,6 +97,7 @@ class Artifacts:
     def __init__(self, prog):
         self.prog = prog
         self._compiled: Dict[str, object] = {}
+        self._functional: Dict[str, object] = {}
         #: ProcStats dict (or exception) of the production-engine run
         self.production: Union[dict, Exception, None] = None
 
@@ -100,6 +111,20 @@ class Artifacts:
             except Exception as exc:
                 self._compiled[level] = exc
         return _unwrap(self._compiled[level])
+
+    def functional(self, level: str):
+        """The finished :class:`~repro.uarch.FunctionalSim` run of
+        ``level``'s program, computed on first request."""
+        from ..uarch import FunctionalSim
+
+        if level not in self._functional:
+            try:
+                sim = FunctionalSim(self.compiled(level).program)
+                sim.run()
+                self._functional[level] = sim
+            except Exception as exc:
+                self._functional[level] = exc
+        return _unwrap(self._functional[level])
 
     def run_production(self):
         """Run the hand program on the production engine, keep the
@@ -147,7 +172,6 @@ def check_arch(prog, artifacts: Optional[Artifacts] = None) \
         -> List[Divergence]:
     """Interpreter vs tcc/hand functional sims vs baseline vs cycle sim."""
     from ..tir import interpret
-    from ..uarch import FunctionalSim
 
     artifacts = artifacts or Artifacts(prog)
     out: List[Divergence] = []
@@ -162,8 +186,7 @@ def check_arch(prog, artifacts: Optional[Artifacts] = None) \
             out.append(_crash(prog.name, stage + ":compile", exc))
             continue
         try:
-            sim = FunctionalSim(compiled[level].program)
-            sim.run()
+            sim = artifacts.functional(level)
             got = compiled[level].extract_outputs(sim.regs, sim.memory)
         except Exception as exc:
             out.append(_crash(prog.name, stage, exc))
@@ -298,6 +321,91 @@ def check_asm(prog, artifacts: Optional[Artifacts] = None) \
 
 
 # ----------------------------------------------------------------------
+# ffwd: the compiled fast-forwarder vs the functional simulator
+# ----------------------------------------------------------------------
+def run_ffwd(program, warm: bool):
+    """A finished fast-forwarder run of ``program``, as the ``ffwd``
+    check makes it: warm ``run()``, or cold ``run_blocks`` collecting
+    BBVs (the profiling pass's loop)."""
+    from ..sampling.ffwd import FastForwarder
+
+    if warm:
+        ff = FastForwarder(program, warm=True)
+        ff.run()
+    else:
+        ff = FastForwarder(program, warm=False,
+                           bbv_interval=FFWD_BBV_INTERVAL)
+        ff.run_blocks(ff.max_blocks)
+    return ff
+
+
+def ffwd_diff(ff, ref) -> List[str]:
+    """How a finished fast-forwarder differs from ``ref``, the
+    functional simulator's run of the same program (empty when exact)."""
+    from dataclasses import asdict
+
+    diffs = _stats_diff(asdict(ref.stats), asdict(ff.stats))
+    regs = [r for r, (a, b) in enumerate(zip(ref.regs, ff.regs)) if a != b]
+    if regs:
+        diffs.append(f"registers {regs[:4]} differ")
+    pages_ref = dict(ref.memory.touched_pages())
+    pages_ff = dict(ff.memory.touched_pages())
+    if pages_ref != pages_ff:
+        bad = sorted(k for k in set(pages_ref) | set(pages_ff)
+                     if pages_ref.get(k) != pages_ff.get(k))
+        diffs.append(f"pages {[hex(k) for k in bad[:4]]} differ")
+    if ff.fallback_blocks:
+        diffs.append(f"{ff.fallback_blocks} blocks fell back to the "
+                     "interpreter")
+    if not ff.warm:
+        if ff.unwarmed_blocks != ff.stats.blocks:
+            diffs.append(f"unwarmed_blocks {ff.unwarmed_blocks} != blocks "
+                         f"{ff.stats.blocks}")
+        counted = sum(sum(bbv.values()) for bbv in ff.bbv_vectors())
+        if counted != ff.stats.blocks:
+            diffs.append(f"BBVs count {counted} blocks of "
+                         f"{ff.stats.blocks}")
+    return diffs
+
+
+def check_ffwd(prog, artifacts: Optional[Artifacts] = None) \
+        -> List[Divergence]:
+    """The compiled fast-forwarder, cold (``run_blocks`` collecting
+    BBVs, as the profiling pass runs it) and warm (``run``), against
+    the functional simulator at each level: registers, touched pages and
+    the whole ``FunctionalStats`` record must match, and a block that
+    falls back to the interpreter is a divergence too.  The reference
+    is ``arch``'s run, taken from ``artifacts``."""
+    artifacts = artifacts or Artifacts(prog)
+    out: List[Divergence] = []
+    for level in ("tcc", "hand"):
+        stage = f"ffwd:{level}"
+        try:
+            program = artifacts.compiled(level).program
+        except Exception as exc:
+            out.append(_crash(prog.name, stage + ":compile", exc))
+            continue
+        try:
+            ref = artifacts.functional(level)
+        except Exception as exc:
+            out.append(_crash(prog.name, stage, exc))
+            continue
+        for warm in (False, True):
+            where = f"{stage}:{'warm' if warm else 'cold'}"
+            try:
+                ff = run_ffwd(program, warm)
+            except Exception as exc:
+                out.append(_crash(prog.name, where, exc))
+                continue
+            diffs = ffwd_diff(ff, ref)
+            if diffs:
+                out.append(Divergence(
+                    prog.name, where,
+                    "differs from the functional sim: " + "; ".join(diffs)))
+    return out
+
+
+# ----------------------------------------------------------------------
 # case / shard drivers
 # ----------------------------------------------------------------------
 def run_case(prog, checks=ALL_CHECKS, nuca: bool = False,
@@ -312,6 +420,8 @@ def run_case(prog, checks=ALL_CHECKS, nuca: bool = False,
                                  artifacts=artifacts))
     if "asm" in checks:
         out.extend(check_asm(prog, artifacts=artifacts))
+    if "ffwd" in checks:
+        out.extend(check_ffwd(prog, artifacts=artifacts))
     return out
 
 

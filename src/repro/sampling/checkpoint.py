@@ -128,6 +128,11 @@ def take_checkpoint(ff: FastForwarder) -> ArchCheckpoint:
     warmup, which reproduces true window behavior exactly on most
     workloads (see tests/sampling/ and the sampling note in
     EXPERIMENTS.md).
+
+    Page images come from :meth:`FastForwarder.page_images`: a page the
+    fast-forwarder has not changed since its previous snapshot is that
+    snapshot's ``bytes`` object, so a profiling pass's per-interval
+    snapshots hold one copy of each unchanged page, not one each.
     """
     stats = ff.stats
     predictor = None
@@ -143,7 +148,7 @@ def take_checkpoint(ff: FastForwarder) -> ArchCheckpoint:
         halted=ff.halted,
         unwarmed_blocks=ff.unwarmed_blocks,
         regs=list(ff.regs),
-        pages={addr: image for addr, image in ff.memory.touched_pages()},
+        pages=ff.page_images(),
         predictor=predictor,
         icache=[bank.state() for bank in ff.icache] if ff.warm else None,
         dcache=[bank.state() for bank in ff.dcache] if ff.warm else None,

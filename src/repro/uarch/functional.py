@@ -57,7 +57,6 @@ class FunctionalStats:
     loads: int = 0
     stores: int = 0
     branches_by_exit: Dict[int, int] = field(default_factory=dict)
-    block_visits: Dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -116,8 +115,6 @@ class FunctionalSim:
         for reg, value in reg_writes.items():
             self.regs[reg] = value
         self.stats.blocks += 1
-        self.stats.block_visits[self.pc] = \
-            self.stats.block_visits.get(self.pc, 0) + 1
         if next_pc == EXIT_ADDRESS:
             self.halted = True
         else:

@@ -1,8 +1,10 @@
 """The oracle computes each artifact once per program, and still compares.
 
-Within one :func:`run_case`, each compile level is compiled once and the
-``arch:cycle`` run stands in for the engine tier with the production
-configuration.  These tests count the calls, and inject faults to show
+Within one :func:`run_case`, each compile level is compiled once and
+run once on the functional simulator (``arch``'s run is ``ffwd``'s
+reference), and the ``arch:cycle`` run stands in for the engine tier
+with the production configuration.  These tests count the calls, and
+inject faults to show
 that sharing changes neither which divergences are reported nor their
 details: a shared run returns exactly what the checks, each run alone
 on a fresh record (the unshared oracle), report.
@@ -11,11 +13,13 @@ on a fresh record (the unshared oracle), report.
 import pytest
 
 import repro.compiler
+import repro.sampling.ffwd
 from repro.fuzz.gen import generate
 from repro.fuzz.oracle import (check_arch, check_asm, check_engines,
-                               run_case)
+                               check_ffwd, run_case)
 from repro.telemetry.recorder import TelemetryRecorder
 from repro.uarch.config import PROTOTYPE
+from repro.uarch.functional import FunctionalSim
 from repro.uarch.proc import TripsProcessor
 
 SEED = 1
@@ -66,7 +70,7 @@ def _unshared(prog, nuca=False, telemetry=False):
     """The checks one by one, each building its own record."""
     return (check_arch(prog)
             + check_engines(prog, nuca=nuca, telemetry=telemetry)
-            + check_asm(prog))
+            + check_asm(prog) + check_ffwd(prog))
 
 
 def _stages(divergences):
@@ -100,7 +104,7 @@ def test_compile_failure_reaches_every_stage(probe):
     probe.fail_level = "hand"
     shared = run_case(prog)
     assert _stages(shared) == ["arch:hand:compile", "engines:compile",
-                               "asm:hand"]
+                               "asm:hand", "ffwd:hand:compile"]
     assert {d.detail for d in shared} == {
         "raised: RuntimeError: injected hand compile failure"}
     assert probe.compiles == ["tcc", "hand"]
@@ -152,3 +156,34 @@ def test_telemetry_summary_divergence_is_reported(monkeypatch):
     assert _stages(got) == ["engines:fast+nuca+telemetry"]
     assert got[0].detail.startswith(
         "telemetry summary diverges from full-scan: tiles.D1.")
+
+
+def test_ffwd_takes_arch_s_functional_runs(monkeypatch):
+    """The reference functional simulator runs once per level, for
+    ``arch`` and ``ffwd`` together."""
+    references = []
+    real_run = FunctionalSim.run
+
+    def run(sim):
+        if type(sim) is FunctionalSim:
+            references.append(sim.program)
+        return real_run(sim)
+
+    monkeypatch.setattr(FunctionalSim, "run", run)
+    assert run_case(generate(SEED)) == []
+    assert len(references) == 2
+
+
+def test_ffwd_reports_interpreter_fallback(monkeypatch):
+    """A block the compiler hands to the interpreter still runs exactly,
+    but the sampling tier then runs at interpreter speed: a divergence
+    on each pass."""
+    def refuse(block, addr):
+        raise repro.sampling.ffwd.BlockCompileError("refused")
+
+    monkeypatch.setattr(repro.sampling.ffwd, "compile_block", refuse)
+    got = check_ffwd(generate(SEED))
+    assert _stages(got) == ["ffwd:tcc:cold", "ffwd:tcc:warm",
+                            "ffwd:hand:cold", "ffwd:hand:warm"]
+    assert all("blocks fell back to the interpreter" in d.detail
+               for d in got)

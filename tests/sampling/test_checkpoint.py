@@ -93,3 +93,24 @@ def test_unwarmed_checkpoint_carries_no_uarch_state():
     ckpt = take_checkpoint(ff)
     assert ckpt.predictor is None
     assert ckpt.icache is None and ckpt.dcache is None
+
+
+def test_consecutive_snapshots_share_unchanged_pages():
+    """A profiling pass keeps one snapshot per interval: a page the
+    stretch between two snapshots left alone is one ``bytes`` object in
+    both, and a page it wrote is a fresh image of the live page."""
+    program = compile_tir(get_workload("mcf", size=8), level="tcc").program
+    ff = FastForwarder(program, TripsConfig(), warm=False)
+    ff.run_blocks(1000)
+    first = take_checkpoint(ff)
+    ff.run_blocks(2000)
+    second = take_checkpoint(ff)
+    live = dict(ff.memory.touched_pages())
+    assert second.pages == live
+    unchanged = [addr for addr, image in first.pages.items()
+                 if second.pages[addr] == image]
+    written = [addr for addr, image in first.pages.items()
+               if second.pages[addr] != image]
+    assert unchanged and written
+    assert all(second.pages[addr] is first.pages[addr] for addr in unchanged)
+    assert all(isinstance(image, bytes) for image in second.pages.values())
