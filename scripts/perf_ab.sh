@@ -5,9 +5,10 @@
 #
 # BASE and HEAD are two checkouts of this repository: the reference
 # (the parent commit) and the change.  Each tree runs its own perfbench
-# Table-3 workloads, table3-l2perfect and table3-nuca, and the sampling
-# tier's sampled-roster (one pass per run), with a 10 s budget per run,
-# in five pairs per workload.  Which tree runs first
+# Table-3 workloads, table3-l2perfect and table3-nuca, the sampling
+# tier's sampled-roster (one pass per run) and fuzz-fleet (simlab's
+# executor and cache; its two minimum cold passes), with a 10 s budget
+# per run, in five pairs per workload.  Which tree runs first
 # alternates from pair to pair, so a slow stretch of the host hits both
 # sides alike.  HEAD's perfbench/compare.py then judges the two sets,
 # and its exit status is the script's: 1 on a REGRESSION verdict, a
@@ -41,7 +42,7 @@ rm -rf "$out/base" "$out/head"
 mkdir -p "$out/base" "$out/head"
 failed=0
 for pair in $(seq 1 $pairs); do
-    for workload in table3-l2perfect table3-nuca sampled-roster; do
+    for workload in table3-l2perfect table3-nuca sampled-roster fuzz-fleet; do
         if [ $((pair % 2)) -eq 1 ]; then sides="base head"; else sides="head base"; fi
         echo "pair $pair/$pairs $workload: $sides"
         for side in $sides; do

@@ -312,7 +312,8 @@ class OooCore:
 
 
 def run_baseline(program: SriscProgram, config: BaselineConfig = None):
-    """Convenience: functional + timing in one call.
+    """Run ``program`` on the baseline: the functional run, then the
+    timing model over its trace.
 
     Returns (FunctionalResult, BaselineStats).
     """

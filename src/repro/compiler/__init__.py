@@ -20,6 +20,7 @@ Public API::
     compiled.array_addrs     # array name -> data-segment address
 """
 
-from .lower import CompiledProgram, CompileError, compile_tir
+from .lower import CompiledProgram, CompileError, compile_tir, extract_outputs
 
-__all__ = ["CompiledProgram", "CompileError", "compile_tir"]
+__all__ = ["CompiledProgram", "CompileError", "compile_tir",
+           "extract_outputs"]

@@ -44,26 +44,35 @@ class CompiledProgram:
     tir: TirProgram
 
     def extract_outputs(self, regs: Sequence[int], memory) -> tuple:
-        """Observable outputs in :meth:`InterpResult.output_signature` form.
+        """This program's observable outputs; see :func:`extract_outputs`."""
+        return extract_outputs(self.tir, self.var_regs, self.array_addrs,
+                               regs, memory)
 
-        ``regs`` is the final architectural register file, ``memory`` any
-        object with ``read(address, size) -> int`` (both simulators and the
-        backing store qualify).
-        """
-        parts = []
-        for name in self.tir.outputs:
-            if name in self.tir.arrays:
-                arr = self.tir.arrays[name]
-                base = self.array_addrs[name]
-                values = tuple(
-                    truncate_load(
-                        memory.read(base + i * arr.elem_size, arr.elem_size),
-                        arr.elem_size, arr.signed)
-                    for i in range(len(arr.data)))
-                parts.append((name, values))
-            else:
-                parts.append((name, regs[self.var_regs[name]]))
-        return tuple(parts)
+
+def extract_outputs(tir: TirProgram, var_regs: Dict[str, int],
+                    array_addrs: Dict[str, int], regs: Sequence[int],
+                    memory) -> tuple:
+    """Observable outputs in :meth:`InterpResult.output_signature` form.
+
+    ``var_regs`` and ``array_addrs`` are a compiled program's scalar and
+    array placement (TRIPS or SRISC), ``regs`` the final architectural
+    register file, ``memory`` any object with ``read(address, size) ->
+    int`` (the simulators and the backing store qualify).
+    """
+    parts = []
+    for name in tir.outputs:
+        if name in tir.arrays:
+            arr = tir.arrays[name]
+            base = array_addrs[name]
+            values = tuple(
+                truncate_load(
+                    memory.read(base + i * arr.elem_size, arr.elem_size),
+                    arr.elem_size, arr.signed)
+                for i in range(len(arr.data)))
+            parts.append((name, values))
+        else:
+            parts.append((name, regs[var_regs[name]]))
+    return tuple(parts)
 
 
 # ----------------------------------------------------------------------

@@ -147,25 +147,13 @@ class Artifacts:
 # ----------------------------------------------------------------------
 def _baseline_outputs(prog):
     from ..baseline.ooo import run_baseline
+    from ..compiler import extract_outputs
     from ..compiler.srisc import compile_srisc
-    from ..tir.semantics import truncate_load
 
     sp = compile_srisc(prog)
     functional, _ = run_baseline(sp)
-    parts = []
-    for out in prog.outputs:
-        if out in prog.arrays:
-            arr = prog.arrays[out]
-            base = sp.array_addrs[out]
-            parts.append((out, tuple(
-                truncate_load(
-                    functional.memory.read(base + i * arr.elem_size,
-                                           arr.elem_size),
-                    arr.elem_size, arr.signed)
-                for i in range(len(arr.data)))))
-        else:
-            parts.append((out, functional.regs[sp.var_regs[out]]))
-    return tuple(parts)
+    return extract_outputs(prog, sp.var_regs, sp.array_addrs,
+                           functional.regs, functional.memory)
 
 
 def check_arch(prog, artifacts: Optional[Artifacts] = None) \

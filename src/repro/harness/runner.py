@@ -10,12 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..baseline.ooo import BaselineConfig, BaselineStats, OooCore
-from ..baseline.srisc import run_functional
-from ..compiler import CompiledProgram, compile_tir
+from ..baseline.ooo import BaselineConfig, BaselineStats, run_baseline
+from ..compiler import CompiledProgram, compile_tir, extract_outputs
 from ..compiler.srisc import compile_srisc
 from ..tir import TirProgram, interpret
-from ..tir.semantics import truncate_load
 from ..uarch.config import TripsConfig
 from ..uarch.proc import ProcStats, TripsProcessor
 from ..workloads import get_workload
@@ -23,6 +21,14 @@ from ..workloads import get_workload
 
 class ValidationError(AssertionError):
     """A simulator produced architecturally-wrong results."""
+
+
+def validate_outputs(tir: TirProgram, got: tuple, what: str) -> None:
+    """Raise :class:`ValidationError` unless ``got`` (an
+    :func:`~repro.compiler.extract_outputs` tuple) equals the TIR
+    interpreter's golden outputs; ``what`` names the run."""
+    if got != interpret(tir).output_signature(tir.outputs):
+        raise ValidationError(f"{what} outputs diverge from golden")
 
 
 @dataclass
@@ -65,7 +71,6 @@ def _resolve(workload, size: int = 1) -> TirProgram:
 def run_trips_workload(workload, level: str = "hand",
                        config: Optional[TripsConfig] = None,
                        trace: bool = False,
-                       validate: bool = True,
                        telemetry: bool = False, size: int = 1) -> TripsRun:
     """Compile and run one workload on tsim-proc.
 
@@ -79,40 +84,20 @@ def run_trips_workload(workload, level: str = "hand",
                           config=config or TripsConfig(), trace=trace,
                           telemetry=telemetry)
     stats = proc.run()
-    if validate:
-        golden = interpret(tir).output_signature(tir.outputs)
-        got = compiled.extract_outputs(proc.regs, proc.memory)
-        if got != golden:
-            raise ValidationError(
-                f"{tir.name}@{level}: TRIPS outputs diverge from golden")
+    validate_outputs(tir, compiled.extract_outputs(proc.regs, proc.memory),
+                     f"{tir.name}@{level}: TRIPS")
     return TripsRun(name=tir.name, level=level, stats=stats, proc=proc,
                     compiled=compiled)
 
 
 def run_baseline_workload(workload,
-                          config: Optional[BaselineConfig] = None,
-                          validate: bool = True) -> BaselineRun:
+                          config: Optional[BaselineConfig] = None
+                          ) -> BaselineRun:
     """Compile and run one workload on the conventional OoO baseline."""
     tir = _resolve(workload)
     program = compile_srisc(tir)
-    functional = run_functional(program)
-    if validate:
-        golden = interpret(tir).output_signature(tir.outputs)
-        parts = []
-        for out in tir.outputs:
-            if out in tir.arrays:
-                arr = tir.arrays[out]
-                base = program.array_addrs[out]
-                parts.append((out, tuple(
-                    truncate_load(
-                        functional.memory.read(base + i * arr.elem_size,
-                                               arr.elem_size),
-                        arr.elem_size, arr.signed)
-                    for i in range(len(arr.data)))))
-            else:
-                parts.append((out, functional.regs[program.var_regs[out]]))
-        if tuple(parts) != golden:
-            raise ValidationError(
-                f"{tir.name}: baseline outputs diverge from golden")
-    stats = OooCore(config).run(program, functional)
+    functional, stats = run_baseline(program, config)
+    got = extract_outputs(tir, program.var_regs, program.array_addrs,
+                          functional.regs, functional.memory)
+    validate_outputs(tir, got, f"{tir.name}: baseline")
     return BaselineRun(name=tir.name, stats=stats)

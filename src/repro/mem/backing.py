@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Mapping, Tuple
 
-PAGE_SIZE = 4096
+#: address ``a`` lives at offset ``a & PAGE_MASK`` of page ``a >> PAGE_SHIFT``
+PAGE_SHIFT = 12
+PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
 
 
@@ -19,9 +21,13 @@ class BackingStore:
 
     def __init__(self) -> None:
         self._pages: Dict[int, bytearray] = {}
+        #: ``peek_page(page_no)``: that page's bytes, or None if it was
+        #: never touched.  It never allocates; it is the page dict's own
+        #: ``get``, so an in-line reader pays no extra call.
+        self.peek_page = self._pages.get
 
     def _page(self, address: int) -> bytearray:
-        page_no = address >> 12
+        page_no = address >> PAGE_SHIFT
         page = self._pages.get(page_no)
         if page is None:
             page = bytearray(PAGE_SIZE)
@@ -33,8 +39,8 @@ class BackingStore:
         """Read ``size`` bytes as an unsigned little-endian integer."""
         if size <= 0:
             raise ValueError("size must be positive")
-        end_page = (address + size - 1) >> 12
-        if end_page == address >> 12:
+        end_page = (address + size - 1) >> PAGE_SHIFT
+        if end_page == address >> PAGE_SHIFT:
             off = address & PAGE_MASK
             return int.from_bytes(self._page(address)[off:off + size], "little")
         return int.from_bytes(self.read_bytes(address, size), "little")
@@ -73,10 +79,4 @@ class BackingStore:
     def touched_pages(self) -> Iterable[Tuple[int, bytes]]:
         """All allocated pages, for snapshot/diff in tests."""
         for page_no in sorted(self._pages):
-            yield page_no << 12, bytes(self._pages[page_no])
-
-    def copy(self) -> "BackingStore":
-        clone = BackingStore()
-        for page_no, page in self._pages.items():
-            clone._pages[page_no] = bytearray(page)
-        return clone
+            yield page_no << PAGE_SHIFT, bytes(self._pages[page_no])

@@ -2,15 +2,15 @@
 
 PR 4's :mod:`repro.telemetry` answers "where did the cycles go" *inside*
 one simulated processor; this package answers the same question about
-the platform that runs thousands of those simulations.  Four pieces
-share one registry:
+the platform that runs thousands of those simulations:
 
 * **Registry** (:mod:`repro.metrics.registry`) — process-local
   counters/gauges/histograms with labels; deterministic exposition.
 * **Event log** (:mod:`repro.metrics.events`) — append-only JSONL job
   lifecycle spans (submit → queued → start → retry/timeout →
   finish/cache-hit) written next to the simlab result cache, with a
-  schema validator and a replay that rebuilds the registry from disk.
+  schema validator and :func:`~repro.metrics.events.fold`, the one rule
+  that turns events into fleet counters, live or replayed from disk.
 * **Exposition** (:mod:`repro.metrics.expo`) — Prometheus text format
   and a JSON snapshot behind ``python -m repro.simlab metrics``, with
   git/host/time provenance.
@@ -19,14 +19,9 @@ share one registry:
   (:mod:`~.diff`) attributes the cycle delta between two cached runs to
   the stall taxonomy, per-tile shifts, and per-link traffic movers.
 
-The instrumentation discipline is PR 4's: every probe site in
-:mod:`repro.simlab` is one ``if metrics is not None`` guard, so a run
-without metrics is byte-identical to the pre-metrics code path, and the
-simulator core itself is never touched at all.
-
-This substrate is what the simlab-as-a-service layer (ROADMAP) will
-expose over HTTP: admission control, priorities, and warm-cache
-eviction stats all read these counters.
+simlab's executor only emits lifecycle events, each behind one
+``if metrics is not None`` guard, so a run without metrics gives the
+same results, and the simulator core itself is never touched at all.
 """
 
 from .events import EventLog, FleetMetrics, default_events_path

@@ -113,13 +113,12 @@ def parse_spec(text: str) -> DiffSpec:
 
 def fetch_runs(spec_a: DiffSpec, spec_b: DiffSpec,
                cache: Optional[ResultCache] = None, workers: int = 0,
-               log: Optional[Callable[[str], None]] = None,
-               metrics=None) -> Tuple[Dict, Dict]:
+               log: Optional[Callable[[str], None]] = None
+               ) -> Tuple[Dict, Dict]:
     """Both telemetry runs, via simlab: cached if seen, simulated if not."""
     specs = [RunSpec.trips(s.workload, level=s.level, config=s.config(),
                            telemetry=True) for s in (spec_a, spec_b)]
-    results = run_specs(specs, workers=workers, cache=cache, log=log,
-                        metrics=metrics)
+    results = run_specs(specs, workers=workers, cache=cache, log=log)
     return results[0], results[1]
 
 
@@ -284,11 +283,9 @@ def render_diff(report: Dict, top: int = 8) -> str:
 
 def diff_specs(text_a: str, text_b: str,
                cache: Optional[ResultCache] = None, workers: int = 0,
-               log: Optional[Callable[[str], None]] = None,
-               metrics=None) -> Dict:
+               log: Optional[Callable[[str], None]] = None) -> Dict:
     """Parse, fetch (cached), and attribute — the CLI's whole pipeline."""
     spec_a, spec_b = parse_spec(text_a), parse_spec(text_b)
     result_a, result_b = fetch_runs(spec_a, spec_b, cache=cache,
-                                    workers=workers, log=log,
-                                    metrics=metrics)
+                                    workers=workers, log=log)
     return diff_runs(result_a, result_b, spec_a.label, spec_b.label)

@@ -23,10 +23,11 @@ Every event carries ``schema``, ``ts`` (unix seconds), ``event``, and
 ``pid``; per-event required fields are in :data:`EVENT_FIELDS` and
 enforced by :func:`validate_event` (the CI schema gate).
 
-:func:`replay_into` folds a recorded log back into a
-:class:`~repro.metrics.registry.MetricsRegistry` — the canonical
-definition of the fleet-level metrics, shared by the live executor
-instruments and the post-hoc ``simlab metrics`` exposition.
+:func:`fold` is the one rule that turns a lifecycle event into fleet
+counters.  A live sweep folds each event as it happens
+(:meth:`FleetMetrics.emit`, plus each collected job's ``finish``), and
+:func:`replay_into` folds a recorded log, so ``simlab metrics`` over a
+finished log reads what the sweep process counted.
 """
 
 from __future__ import annotations
@@ -83,11 +84,6 @@ class EventLog:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         with open(self.path, "a") as fh:
             fh.write(line)
-
-    def truncate(self) -> None:
-        """Start a fresh log (a new sweep over the same cache dir)."""
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text("")
 
 
 def validate_event(record) -> List[str]:
@@ -160,52 +156,69 @@ def check_events(path) -> List[str]:
     return errors
 
 
+def _families(registry: MetricsRegistry):
+    """The counters :func:`fold` keeps, declared in exposition order:
+    jobs by outcome, retries by cause, per-attempt job seconds, and
+    sweeps."""
+    return (registry.counter("simlab_jobs_total", "jobs by final outcome",
+                             ("outcome",)),
+            registry.counter("simlab_job_retries_total",
+                             "job retries by cause", ("cause",)),
+            registry.histogram("simlab_job_seconds",
+                               "per-attempt job wall time"),
+            registry.counter("simlab_sweeps_total", "sweeps recorded"))
+
+
+def fold(registry: MetricsRegistry, record: Dict) -> None:
+    """Count one lifecycle event into the fleet counters.
+
+    This is the single definition of how events become counters: the
+    live sweep and :func:`replay_into` both go through it.
+    """
+    jobs, retries, job_seconds, sweeps = _families(registry)
+    name = record.get("event")
+    if name == "sweep_begin":
+        sweeps.inc()
+    elif name == "cache_hit":
+        jobs.inc(outcome="cache_hit")
+    elif name == "finish":
+        jobs.inc(outcome="done")
+        job_seconds.observe(float(record.get("elapsed_s", 0.0)))
+    elif name == "retry":
+        cause = record.get("cause")
+        if cause in RETRY_CAUSES:
+            retries.inc(cause=cause)
+    elif name == "fail":
+        jobs.inc(outcome="failed")
+
+
 def replay_into(registry: MetricsRegistry,
                 events: Iterable[Dict]) -> MetricsRegistry:
-    """Fold an event stream into fleet metrics.
+    """Fold a recorded event stream into fleet metrics.
 
-    This is the single definition of how lifecycle events become
-    counters — the live executor increments the same metrics with the
-    same semantics, so ``simlab metrics`` over a finished log agrees
-    with what the sweep process would have exposed.
+    ``simlab_events_total``, a census of the log's lines by event, is
+    counted here only: a live sweep never sees some lines, such as the
+    ``start`` a worker writes for an attempt that then raises.
     """
     events_total = registry.counter(
         "simlab_events_total", "lifecycle events recorded", ("event",))
-    jobs = registry.counter(
-        "simlab_jobs_total", "jobs by final outcome", ("outcome",))
-    retries = registry.counter(
-        "simlab_job_retries_total", "job retries by cause", ("cause",))
-    job_seconds = registry.histogram(
-        "simlab_job_seconds", "per-attempt job wall time")
-    sweeps = registry.counter("simlab_sweeps_total", "sweeps recorded")
+    _families(registry)
     for record in events:
         name = record.get("event")
         if name not in EVENT_FIELDS:
             continue
         events_total.inc(event=name)
-        if name == "sweep_begin":
-            sweeps.inc()
-        elif name == "cache_hit":
-            jobs.inc(outcome="cache_hit")
-        elif name == "finish":
-            jobs.inc(outcome="done")
-            job_seconds.observe(float(record.get("elapsed_s", 0.0)))
-        elif name == "retry":
-            cause = record.get("cause")
-            if cause in RETRY_CAUSES:
-                retries.inc(cause=cause)
-        elif name == "fail":
-            jobs.inc(outcome="failed")
+        fold(registry, record)
     return registry
 
 
 class FleetMetrics:
-    """The executor's instrument bundle: one registry + optional log.
+    """A sweep's fleet counters: one registry, an optional event log.
 
-    Passed as ``metrics=`` to :func:`repro.simlab.executor.run_specs`
-    and :class:`repro.simlab.cache.ResultCache`; every instrumented site
-    guards with ``if metrics is not None``, so the default (no metrics)
-    costs one pointer compare and produces byte-identical results.
+    Passed as ``metrics=`` to :func:`repro.simlab.executor.run_specs`.
+    Every event the sweep emits is written to the log (when there is
+    one) and folded into the registry by :func:`fold`, the rule
+    ``simlab metrics`` replays.
     """
 
     def __init__(self, registry: Optional[MetricsRegistry] = None,
@@ -213,31 +226,20 @@ class FleetMetrics:
         self.registry = registry if registry is not None \
             else MetricsRegistry()
         self.events = events
-        self.jobs = self.registry.counter(
-            "simlab_jobs_total", "jobs by final outcome", ("outcome",))
-        self.retries = self.registry.counter(
-            "simlab_job_retries_total", "job retries by cause", ("cause",))
-        self.job_seconds = self.registry.histogram(
-            "simlab_job_seconds", "per-attempt job wall time")
-        self.queue_depth = self.registry.gauge(
-            "simlab_queue_depth", "jobs submitted but not yet finished")
-        self.workers = self.registry.gauge(
-            "simlab_workers", "worker processes of the current sweep")
-        self.cache_hits = self.registry.counter(
-            "simlab_cache_hits_total", "result-cache lookups served")
-        self.cache_misses = self.registry.counter(
-            "simlab_cache_misses_total", "result-cache lookups missed")
-        self.cache_put_bytes = self.registry.counter(
-            "simlab_cache_put_bytes_total", "bytes written to the cache")
+        self.jobs, self.retries, self.job_seconds, _ = \
+            _families(self.registry)
 
     @classmethod
     def for_cache_dir(cls, cache_dir) -> "FleetMetrics":
-        """The standard wiring: log next to the cache, fresh per sweep."""
+        """The standard wiring: a fresh registry, and the event log next
+        to the cache, which every sweep over that cache appends to."""
         return cls(events=EventLog(default_events_path(cache_dir)))
 
     def emit(self, event: str, **fields) -> None:
+        """Write one event to the log, if any, and fold it."""
         if self.events is not None:
             self.events.emit(event, **fields)
+        fold(self.registry, {"event": event, **fields})
 
     @property
     def events_path(self) -> Optional[str]:

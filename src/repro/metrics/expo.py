@@ -1,7 +1,7 @@
 """Metrics exposition: Prometheus text format and a JSON snapshot.
 
 ``python -m repro.simlab metrics`` is the consumer: it rebuilds a
-registry from the persisted event log (plus live cache gauges) and
+registry from the persisted event log (plus cache-size gauges) and
 dumps it here.  Both renderings carry provenance — git revision, host,
 creation time — reusing :func:`repro.harness.sbench.provenance`, so a
 scraped exposition can always be traced to the source tree that

@@ -1,7 +1,7 @@
 """Process-local metrics: counters, gauges, and histograms with labels.
 
 The registry is the one shared substrate of :mod:`repro.metrics` — the
-executor's live instruments, the event-log replay in
+fleet counters a live sweep folds, the event-log replay in
 ``simlab metrics``, and the Prometheus/JSON exposition in
 :mod:`repro.metrics.expo` all read and write the same structures.
 
@@ -100,20 +100,13 @@ class Counter(_Metric):
 
 
 class Gauge(_Metric):
-    """A value that can go up and down (queue depth, worker count)."""
+    """A value set outright (cache entries, cache bytes)."""
 
     kind = "gauge"
 
     def set(self, value: float, **labels) -> None:
         key, _ = self._child(labels, float)
         self._children[key] = float(value)
-
-    def inc(self, amount: float = 1, **labels) -> None:
-        key, _ = self._child(labels, float)
-        self._children[key] = self._children.get(key, 0.0) + amount
-
-    def dec(self, amount: float = 1, **labels) -> None:
-        self.inc(-amount, **labels)
 
     def value(self, **labels) -> float:
         key = _label_key(self.labelnames, labels, self.name)

@@ -64,7 +64,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..isa import EXIT_ADDRESS, OperandKind, Program, TripsBlock
 from ..isa.alu import _BINOP, _IMMOP, _UNOP
 from ..isa.opcodes import Opcode, OpClass
-from ..mem.backing import PAGE_MASK, PAGE_SIZE
+from ..mem.backing import PAGE_MASK, PAGE_SHIFT, PAGE_SIZE
 from ..mem.mt import BANK_ASSOC, BANK_KB, LINE_BYTES
 from ..tir import semantics
 from ..uarch.caches import CacheBank
@@ -74,8 +74,6 @@ from ..uarch.predictor import BT_BRANCH, BT_CALL, BT_RETURN, NextBlockPredictor
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 _SIGN = 0x8000000000000000
-#: ``BackingStore`` keeps address ``a`` in page ``a >> _PAGE_SHIFT``
-_PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 
 #: FP opcodes whose IEEE-double bit casts are inlined into the compiled
 #: source instead of routed through ``semantics.binop`` — that call
@@ -517,13 +515,13 @@ class _Compiler:
         if const is not None:
             if (const & PAGE_MASK) + size > PAGE_SIZE:
                 return fallback
-            page, off, test = (str(const >> _PAGE_SHIFT),
+            page, off, test = (str(const >> PAGE_SHIFT),
                                str(const & PAGE_MASK), "")
         elif size == 1:
-            page, off, test = (f"{addr} >> {_PAGE_SHIFT}",
+            page, off, test = (f"{addr} >> {PAGE_SHIFT}",
                                f"{addr} & {PAGE_MASK}", "")
         else:
-            page, off, test = (f"{addr} >> {_PAGE_SHIFT}", "_o",
+            page, off, test = (f"{addr} >> {PAGE_SHIFT}", "_o",
                                f" and (_o := {addr} & {PAGE_MASK}) <= "
                                f"{PAGE_SIZE - size}")
         self.used.add("pg")
@@ -742,7 +740,7 @@ class _Compiler:
         if "mem" in used:
             head.append("    mem = sim.memory")
         if "pg" in used:
-            head.append("    _pg = mem._pages.get")
+            head.append("    _pg = mem.peek_page")
         for local, init in (("sb", "[]"), ("ma", "[]"), ("f", "0"),
                             ("lc", "0"), ("sc", "0"), ("nul", "0"),
                             ("sd", "0"), ("nx", "None")):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..compiler import compile_tir
-from ..tir import TirProgram, interpret
+from ..tir import TirProgram
 from ..uarch.config import PROTOTYPE, TripsConfig
 from ..uarch.proc import TripsProcessor
 from .checkpoint import ArchCheckpoint, take_checkpoint
@@ -340,7 +340,7 @@ class SampledRun:
 def run_sampled_workload(workload, level: str = "tcc",
                          config: Optional[TripsConfig] = None,
                          sampling: SamplingConfig = SamplingConfig(),
-                         telemetry: bool = False, validate: bool = True,
+                         telemetry: bool = False,
                          size: int = 1) -> SampledRun:
     """Compile and sample one workload, co-validating architectural
     outputs (from the fast-forwarder, which executes every block) against
@@ -354,13 +354,9 @@ def run_sampled_workload(workload, level: str = "tcc",
     sampled, ff, summaries = run_sampled_program(
         compiled.program, config=config or TripsConfig(),
         sampling=sampling, telemetry=telemetry)
-    if validate:
-        golden = interpret(tir).output_signature(tir.outputs)
-        got = compiled.extract_outputs(ff.regs, ff.memory)
-        if got != golden:
-            from ..harness.runner import ValidationError
-            raise ValidationError(
-                f"{tir.name}@{level}: sampled outputs diverge from golden")
+    from ..harness.runner import validate_outputs
+    validate_outputs(tir, compiled.extract_outputs(ff.regs, ff.memory),
+                     f"{tir.name}@{level}: sampled")
     return SampledRun(name=tir.name, level=level, sampled=sampled,
                       fallback_blocks=ff.fallback_blocks,
                       telemetry_windows=summaries)

@@ -124,8 +124,7 @@ def _sweep(args) -> int:
     metrics = None
     if not args.no_cache:
         metrics = FleetMetrics.for_cache_dir(args.cache_dir)
-    cache = None if args.no_cache \
-        else ResultCache(args.cache_dir, metrics=metrics)
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
     log = None if args.quiet else \
         (lambda message: print(message, file=sys.stderr))
     start = time.perf_counter()

@@ -29,18 +29,15 @@ DEFAULT_CACHE_DIR = ".simlab-cache"
 class ResultCache:
     """Keyed JSON records with hit/miss accounting.
 
-    ``metrics`` (optional, a :class:`~repro.metrics.events.FleetMetrics`)
-    mirrors the hit/miss/put-bytes tallies into the fleet registry;
-    every site is guarded by ``if self.metrics is not None`` so the
-    default cache is untouched by the observability layer.
+    ``hits`` and ``misses`` count this object's lookups; they are the
+    totals ``simlab sweep`` prints.  Fleet counters come from the sweep's
+    events (:mod:`repro.metrics.events`), not from the cache.
     """
 
-    def __init__(self, root: os.PathLike = DEFAULT_CACHE_DIR,
-                 metrics=None):
+    def __init__(self, root: os.PathLike = DEFAULT_CACHE_DIR):
         self.root = Path(root)
         self.hits = 0
         self.misses = 0
-        self.metrics = metrics
 
     def _path(self, key: str) -> Path:
         return self.root / f"{key}.json"
@@ -55,12 +52,8 @@ class ResultCache:
         if not isinstance(record, dict) or record.get("schema") != SCHEMA \
                 or "result" not in record:
             self.misses += 1
-            if self.metrics is not None:
-                self.metrics.cache_misses.inc()
             return None
         self.hits += 1
-        if self.metrics is not None:
-            self.metrics.cache_hits.inc()
         return record
 
     def put(self, key: str, record: Dict[str, Any]) -> None:
@@ -71,11 +64,8 @@ class ResultCache:
         # Key order is preserved, NOT sorted: result dicts round-trip in
         # insertion order, so cached table rows render column-identical
         # to freshly simulated ones.
-        blob = json.dumps(record)
-        tmp.write_text(blob)
+        tmp.write_text(json.dumps(record))
         os.replace(tmp, self._path(key))
-        if self.metrics is not None:
-            self.metrics.cache_put_bytes.inc(len(blob))
 
     # -- maintenance -----------------------------------------------------
     def records(self) -> Iterator[Tuple[Path, Dict[str, Any]]]:

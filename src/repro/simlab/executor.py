@@ -20,12 +20,14 @@ Scheduling contract (the part the paper-reproduction sweeps rely on):
   the pool's threads to end.
 * **Observability, off by default.** With a
   :class:`~repro.metrics.events.FleetMetrics` passed as ``metrics=``,
-  every lifecycle transition increments fleet counters and appends to
-  the JSONL event log (workers emit their own ``start``/``finish``
-  lines, so ``simlab watch`` sees true per-worker occupancy).  Every
-  site is guarded by ``if metrics is not None``; with the default
-  ``metrics=None`` the executor behaves — and its results are —
-  byte-identical to the uninstrumented code path.
+  the executor emits each lifecycle event, which appends it to the
+  JSONL event log and folds it into the fleet counters
+  (:func:`repro.metrics.events.fold`, the rule ``simlab metrics``
+  replays).  Workers write their own ``start``/``finish`` lines, so
+  ``simlab watch`` sees true per-worker occupancy; the parent folds a
+  job's ``finish`` when it collects the job.  With the default
+  ``metrics=None`` nothing is emitted, and results are identical
+  either way.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from ..metrics.events import EventLog, fold
 from .cache import ResultCache
 from .spec import (
     RunSpec,
@@ -148,7 +151,6 @@ def _execute_payload(payload: Dict[str, Any],
     """
     events = None
     if events_path is not None:
-        from ..metrics.events import EventLog
         events = EventLog(events_path)
         events.emit("start", key=key)
     start = time.perf_counter()
@@ -187,7 +189,6 @@ def run_specs(specs: Sequence[RunSpec], workers: int = 0,
     results: List[Optional[Dict[str, Any]]] = [None] * total
     start_t = time.perf_counter()
     if metrics is not None:
-        metrics.workers.set(max(1, workers))
         metrics.emit("sweep_begin", jobs=total, workers=workers)
 
     pending: List[int] = []
@@ -197,15 +198,12 @@ def run_specs(specs: Sequence[RunSpec], workers: int = 0,
             results[i] = record["result"]
             log(f"[simlab] {i + 1}/{total} hit   {spec.label}")
             if metrics is not None:
-                metrics.jobs.inc(outcome="cache_hit")
                 metrics.emit("cache_hit", key=spec.key, label=spec.label)
         else:
             pending.append(i)
             if metrics is not None:
                 metrics.emit("submit", key=spec.key, label=spec.label,
                              kind=spec.kind)
-    if metrics is not None:
-        metrics.queue_depth.set(len(pending))
 
     try:
         if not pending:
@@ -220,7 +218,6 @@ def run_specs(specs: Sequence[RunSpec], workers: int = 0,
     finally:
         if metrics is not None:
             counts = metrics.counts()
-            metrics.queue_depth.set(0)
             metrics.emit(
                 "sweep_end", jobs=total, done=counts["done"],
                 cache_hits=counts["cache_hits"],
@@ -231,7 +228,7 @@ def run_specs(specs: Sequence[RunSpec], workers: int = 0,
 def _record(spec: RunSpec, envelope: Dict[str, Any],
             results: List[Optional[Dict[str, Any]]], index: int,
             cache: Optional[ResultCache], log: Logger, total: int,
-            metrics=None, remaining: int = 0) -> None:
+            metrics=None) -> None:
     results[index] = envelope["result"]
     if cache is not None:
         cache.put(spec.key, {"spec": spec.to_dict(),
@@ -239,22 +236,20 @@ def _record(spec: RunSpec, envelope: Dict[str, Any],
                              "elapsed_s": envelope["elapsed_s"],
                              "created": time.time()})
     if metrics is not None:
-        metrics.jobs.inc(outcome="done")
-        metrics.job_seconds.observe(envelope["elapsed_s"])
-        metrics.queue_depth.set(remaining)
+        # the worker has already written this record to the log
+        fold(metrics.registry, {"event": "finish", "key": spec.key,
+                                "elapsed_s": envelope["elapsed_s"]})
     log(f"[simlab] {index + 1}/{total} done  {spec.label} "
         f"({envelope['elapsed_s']:.2f}s)")
 
 
 def _retry(metrics, spec: RunSpec, cause: str) -> None:
     if metrics is not None:
-        metrics.retries.inc(cause=cause)
         metrics.emit("retry", key=spec.key, cause=cause)
 
 
 def _fail(metrics, spec: RunSpec, exc: BaseException) -> None:
     if metrics is not None:
-        metrics.jobs.inc(outcome="failed")
         metrics.emit("fail", key=spec.key, error=repr(exc))
 
 
@@ -263,7 +258,7 @@ def _run_serial(specs: Sequence[RunSpec], pending: Sequence[int],
                 cache: Optional[ResultCache], log: Logger,
                 total: int, metrics=None) -> None:
     events_path = metrics.events_path if metrics is not None else None
-    for n, i in enumerate(pending):
+    for i in pending:
         payload = specs[i].to_dict()
         try:
             envelope = _execute_payload(payload, events_path,
@@ -280,8 +275,7 @@ def _run_serial(specs: Sequence[RunSpec], pending: Sequence[int],
                 raise SimlabError(
                     f"{specs[i].label}: failed after retry "
                     f"({second!r})") from second
-        _record(specs[i], envelope, results, i, cache, log, total,
-                metrics, remaining=len(pending) - n - 1)
+        _record(specs[i], envelope, results, i, cache, log, total, metrics)
 
 
 def _abandon_pool(pool: ProcessPoolExecutor) -> None:
@@ -357,7 +351,7 @@ def _run_parallel(specs: Sequence[RunSpec], pending: List[int],
                 futures[i] = submit(pool, i)
                 continue
             _record(specs[i], envelope, results, i, cache, log, total,
-                    metrics, remaining=len(pending) - position - 1)
+                    metrics)
             position += 1
     except BaseException:
         _abandon_pool(pool)

@@ -9,6 +9,7 @@ from repro.baseline.srisc import (
     SriscProgram,
     run_functional,
 )
+from repro.compiler import extract_outputs
 from repro.compiler.srisc import compile_srisc
 from repro.tir import (
     Array,
@@ -24,7 +25,6 @@ from repro.tir import (
     bits_to_int,
     interpret,
 )
-from repro.tir.semantics import truncate_load
 
 
 def prog_of(insts, labels=None, **kwargs):
@@ -93,19 +93,8 @@ class TestCompileSrisc:
         golden = interpret(tir).output_signature(tir.outputs)
         sp = compile_srisc(tir)
         res = run_functional(sp)
-        parts = []
-        for out in tir.outputs:
-            if out in tir.arrays:
-                arr = tir.arrays[out]
-                base = sp.array_addrs[out]
-                parts.append((out, tuple(
-                    truncate_load(res.memory.read(base + i * arr.elem_size,
-                                                  arr.elem_size),
-                                  arr.elem_size, arr.signed)
-                    for i in range(len(arr.data)))))
-            else:
-                parts.append((out, res.regs[sp.var_regs[out]]))
-        assert tuple(parts) == golden
+        assert extract_outputs(tir, sp.var_regs, sp.array_addrs, res.regs,
+                               res.memory) == golden
         return sp, res
 
     def test_loop_program(self):

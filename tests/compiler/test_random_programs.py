@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.baseline.ooo import run_baseline
-from repro.compiler import compile_tir
+from repro.compiler import compile_tir, extract_outputs
 from repro.compiler.srisc import compile_srisc
 from repro.tir import (
     Array,
@@ -26,7 +26,6 @@ from repro.tir import (
     V,
     interpret,
 )
-from repro.tir.semantics import truncate_load
 from repro.uarch import FunctionalSim
 from repro.uarch.proc import TripsProcessor
 
@@ -93,18 +92,8 @@ programs = st.lists(stmts(2), min_size=1, max_size=5).map(
 def _baseline_outputs(prog):
     sp = compile_srisc(prog)
     functional, _ = run_baseline(sp)
-    parts = []
-    for out in prog.outputs:
-        if out in prog.arrays:
-            arr = prog.arrays[out]
-            base = sp.array_addrs[out]
-            parts.append((out, tuple(
-                truncate_load(functional.memory.read(base + i * 8, 8), 8,
-                              True)
-                for i in range(len(arr.data)))))
-        else:
-            parts.append((out, functional.regs[sp.var_regs[out]]))
-    return tuple(parts)
+    return extract_outputs(prog, sp.var_regs, sp.array_addrs,
+                           functional.regs, functional.memory)
 
 
 @settings(max_examples=40, deadline=None,

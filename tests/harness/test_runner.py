@@ -75,16 +75,6 @@ class TestValidationPaths:
         with pytest.raises(ValidationError, match="diverge from golden"):
             run_trips_workload("vadd", level="hand")
 
-    def test_corrupted_trips_program_passes_unvalidated(self, monkeypatch):
-        real = runner.compile_tir
-
-        def corrupting(tir, level="tcc", **kwargs):
-            return self._shift_addrs(real(tir, level=level, **kwargs), tir)
-
-        monkeypatch.setattr(runner, "compile_tir", corrupting)
-        run = run_trips_workload("vadd", level="hand", validate=False)
-        assert run.cycles > 0
-
     def test_corrupted_baseline_program_raises(self, monkeypatch):
         real = runner.compile_srisc
 
@@ -98,21 +88,6 @@ class TestValidationPaths:
         monkeypatch.setattr(runner, "compile_srisc", corrupting)
         with pytest.raises(ValidationError, match="diverge from golden"):
             run_baseline_workload("vadd")
-
-    def test_corrupted_baseline_program_passes_unvalidated(
-            self, monkeypatch):
-        real = runner.compile_srisc
-
-        def corrupting(tir):
-            program = real(tir)
-            program.array_addrs = {
-                name: addr + tir.arrays[name].elem_size
-                for name, addr in program.array_addrs.items()}
-            return program
-
-        monkeypatch.setattr(runner, "compile_srisc", corrupting)
-        run = run_baseline_workload("vadd", validate=False)
-        assert run.cycles > 0
 
 
 class TestTables:

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.mem.backing import BackingStore
+from repro.mem.backing import PAGE_SHIFT, BackingStore
 
 
 class TestBackingStore:
@@ -34,12 +34,12 @@ class TestBackingStore:
         assert mem.read(0x100, 2) == 0x0201
         assert mem.read(0x5000, 1) == 0xFF
 
-    def test_copy_is_independent(self):
+    def test_peek_page_never_allocates(self):
         mem = BackingStore()
-        mem.write(0x10, 7, 8)
-        clone = mem.copy()
-        clone.write(0x10, 9, 8)
-        assert mem.read(0x10, 8) == 7
+        assert mem.peek_page(0x100000 >> PAGE_SHIFT) is None
+        assert list(mem.touched_pages()) == []
+        mem.write(0x100008, 0xAB, 1)
+        assert mem.peek_page(0x100000 >> PAGE_SHIFT)[8] == 0xAB
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):

@@ -49,12 +49,6 @@ class TestEventLog:
         with pytest.raises(ValueError, match="unknown event"):
             log.emit("teleport", key="k")
 
-    def test_truncate_starts_fresh(self, tmp_path):
-        log = EventLog(tmp_path / "events.jsonl")
-        _write_sweep(log)
-        log.truncate()
-        assert list(read_events(log.path)) == []
-
     def test_read_skips_torn_lines(self, tmp_path):
         path = tmp_path / "events.jsonl"
         EventLog(path).emit("queued", key="k1")
@@ -141,10 +135,10 @@ class TestReplay:
 class TestFleetMetrics:
     def test_counts_reads_back_the_registry(self):
         fleet = FleetMetrics()
-        fleet.jobs.inc(outcome="done")
-        fleet.jobs.inc(outcome="cache_hit")
-        fleet.retries.inc(cause="timeout")
-        fleet.retries.inc(cause="exception")
+        fleet.emit("finish", key="k1", elapsed_s=0.5)
+        fleet.emit("cache_hit", key="k2", label="trips:vadd")
+        fleet.emit("retry", key="k3", cause="timeout")
+        fleet.emit("retry", key="k3", cause="exception")
         counts = fleet.counts()
         assert counts == {"done": 1, "cache_hits": 1, "failed": 0,
                           "retries": 2, "timeouts": 1, "crashes": 0}

@@ -3,8 +3,8 @@ truth.  Fault injection reuses the executor's own ``selftest`` specs."""
 
 import pytest
 
-from repro.metrics import FleetMetrics
-from repro.metrics.events import check_events, read_events
+from repro.metrics import FleetMetrics, MetricsRegistry
+from repro.metrics.events import check_events, read_events, replay_into
 from repro.simlab import ResultCache, RunSpec, SimlabError, run_specs
 
 
@@ -22,7 +22,7 @@ class TestResultsUnchanged:
     def test_parallel_and_cached_results_identical(self, tmp_path):
         bare = run_specs(_echo_specs(3), workers=2)
         fleet = FleetMetrics.for_cache_dir(tmp_path / "c")
-        cache = ResultCache(tmp_path / "c", metrics=fleet)
+        cache = ResultCache(tmp_path / "c")
         first = run_specs(_echo_specs(3), workers=2, cache=cache,
                           metrics=fleet)
         second = run_specs(_echo_specs(3), workers=2, cache=cache,
@@ -34,28 +34,54 @@ class TestResultsUnchanged:
 class TestCounters:
     def test_miss_then_hit_sweeps(self, tmp_path):
         fleet = FleetMetrics.for_cache_dir(tmp_path / "c")
-        cache = ResultCache(tmp_path / "c", metrics=fleet)
+        cache = ResultCache(tmp_path / "c")
         run_specs(_echo_specs(3), cache=cache, metrics=fleet)
         counts = fleet.counts()
         assert counts["done"] == 3 and counts["cache_hits"] == 0
-        assert fleet.cache_misses.value() == 3
+        assert cache.misses == 3
         run_specs(_echo_specs(3), cache=cache, metrics=fleet)
         counts = fleet.counts()
         assert counts["done"] == 3 and counts["cache_hits"] == 3
-        assert fleet.cache_hits.value() == 3
-        assert fleet.cache_put_bytes.value() > 0
-        assert fleet.queue_depth.value() == 0    # settled after the sweep
+        assert cache.hits == 3
 
     def test_job_seconds_histogram_fills(self, tmp_path):
         fleet = FleetMetrics.for_cache_dir(tmp_path)
         run_specs(_echo_specs(2), metrics=fleet)
         assert fleet.job_seconds.snapshot_child(())["count"] == 2
 
+    def test_live_counters_are_the_replay(self, tmp_path):
+        # a cold parallel sweep with a worker crash, then a warm one: what
+        # the sweep process counted is what `simlab metrics` replays
+        fleet = FleetMetrics.for_cache_dir(tmp_path / "c")
+        cache = ResultCache(tmp_path / "c")
+        specs = _echo_specs(4) + [
+            RunSpec.selftest(f"crash-once:{tmp_path / 'crash-once.flag'}")]
+        run_specs(specs, workers=2, cache=cache, metrics=fleet)
+        run_specs(specs, workers=2, cache=cache, metrics=fleet)
+        # (a job still running when the pool broke is charged a crash too)
+        assert fleet.counts()["crashes"] >= 1
+        replayed = replay_into(MetricsRegistry(),
+                               read_events(fleet.events.path))
+        for name in ("simlab_jobs_total", "simlab_job_retries_total",
+                     "simlab_sweeps_total"):
+            live = fleet.registry.get(name)
+            assert live is not None, name
+            assert list(live.samples()) \
+                == list(replayed.get(name).samples()), name
+        live = dict(fleet.registry.get("simlab_job_seconds").samples())
+        replay = dict(replayed.get("simlab_job_seconds").samples())
+        assert live.keys() == replay.keys()
+        for key, snap in live.items():
+            assert snap["count"] == replay[key]["count"] == 5
+            assert snap["buckets"] == replay[key]["buckets"]
+            assert snap["sum"] == pytest.approx(replay[key]["sum"],
+                                                abs=1e-9)
+
 
 class TestEventLog:
     def test_serial_sweep_log_validates(self, tmp_path):
         fleet = FleetMetrics.for_cache_dir(tmp_path / "c")
-        cache = ResultCache(tmp_path / "c", metrics=fleet)
+        cache = ResultCache(tmp_path / "c")
         run_specs(_echo_specs(2), cache=cache, metrics=fleet)
         assert check_events(fleet.events.path) == []
         names = [e["event"] for e in read_events(fleet.events.path)]

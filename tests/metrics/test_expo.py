@@ -2,9 +2,12 @@
 
 import json
 
-from repro.metrics import MetricsRegistry
+from repro.metrics import EventLog, MetricsRegistry
 from repro.metrics.check import lint_prometheus
+from repro.metrics.events import read_events, replay_into
 from repro.metrics.expo import render_json, render_prometheus
+
+from .test_events import _write_sweep
 
 _PROVENANCE = {"git_rev": "abc1234", "host": "testhost",
                "python": "3.x", "created_utc": "2026-01-01T00:00:00Z",
@@ -66,6 +69,66 @@ class TestPrometheus:
         a = render_prometheus(_populated_registry(), _PROVENANCE)
         b = render_prometheus(_populated_registry(), _PROVENANCE)
         assert a == b
+
+    def test_replayed_log_renders_pinned_text(self, tmp_path):
+        # family order, names, help, labels and buckets of what
+        # `simlab metrics --prom` prints for one sweep plus a retry and
+        # a failure; any change to the fold or its families shows here
+        log = EventLog(tmp_path / "events.jsonl")
+        _write_sweep(log)
+        log.emit("retry", key="k1", cause="timeout")
+        log.emit("fail", key="k1", error="RuntimeError('x')")
+        registry = replay_into(MetricsRegistry(), read_events(log.path))
+        assert render_prometheus(registry, _PROVENANCE) == _PINNED_REPLAY
+
+
+_PINNED_REPLAY = """\
+# HELP simlab_build_info source tree and host that produced this exposition
+# TYPE simlab_build_info gauge
+simlab_build_info{created_utc="2026-01-01T00:00:00Z",git_rev="abc1234",\
+host="testhost",python="3.x"} 1
+# HELP simlab_events_total lifecycle events recorded
+# TYPE simlab_events_total counter
+simlab_events_total{event="sweep_begin"} 1
+simlab_events_total{event="submit"} 1
+simlab_events_total{event="cache_hit"} 1
+simlab_events_total{event="queued"} 1
+simlab_events_total{event="start"} 1
+simlab_events_total{event="finish"} 1
+simlab_events_total{event="sweep_end"} 1
+simlab_events_total{event="retry"} 1
+simlab_events_total{event="fail"} 1
+# HELP simlab_jobs_total jobs by final outcome
+# TYPE simlab_jobs_total counter
+simlab_jobs_total{outcome="cache_hit"} 1
+simlab_jobs_total{outcome="done"} 1
+simlab_jobs_total{outcome="failed"} 1
+# HELP simlab_job_retries_total job retries by cause
+# TYPE simlab_job_retries_total counter
+simlab_job_retries_total{cause="timeout"} 1
+# HELP simlab_job_seconds per-attempt job wall time
+# TYPE simlab_job_seconds histogram
+simlab_job_seconds_bucket{le="0.01"} 0
+simlab_job_seconds_bucket{le="0.025"} 0
+simlab_job_seconds_bucket{le="0.05"} 0
+simlab_job_seconds_bucket{le="0.1"} 0
+simlab_job_seconds_bucket{le="0.25"} 1
+simlab_job_seconds_bucket{le="0.5"} 1
+simlab_job_seconds_bucket{le="1"} 1
+simlab_job_seconds_bucket{le="2.5"} 1
+simlab_job_seconds_bucket{le="5"} 1
+simlab_job_seconds_bucket{le="10"} 1
+simlab_job_seconds_bucket{le="30"} 1
+simlab_job_seconds_bucket{le="60"} 1
+simlab_job_seconds_bucket{le="120"} 1
+simlab_job_seconds_bucket{le="300"} 1
+simlab_job_seconds_bucket{le="+Inf"} 1
+simlab_job_seconds_sum 0.25
+simlab_job_seconds_count 1
+# HELP simlab_sweeps_total sweeps recorded
+# TYPE simlab_sweeps_total counter
+simlab_sweeps_total 1
+"""
 
 
 class TestJson:

@@ -9,10 +9,9 @@ the whole suite lives in the slow/benchmark tier; a sample runs here.)
 import pytest
 
 from repro.baseline.ooo import run_baseline
-from repro.compiler import compile_tir
+from repro.compiler import compile_tir, extract_outputs
 from repro.compiler.srisc import compile_srisc
 from repro.tir import interpret
-from repro.tir.semantics import truncate_load
 from repro.uarch import FunctionalSim
 from repro.workloads import ALL_WORKLOADS, SUITES, get_workload, workload_names
 from repro.workloads.registry import HAND_OPTIMIZED
@@ -76,20 +75,9 @@ class TestCoValidation:
         prog = get_workload(name)
         sp = compile_srisc(prog)
         functional, stats = run_baseline(sp)
-        parts = []
-        for out in prog.outputs:
-            if out in prog.arrays:
-                arr = prog.arrays[out]
-                base = sp.array_addrs[out]
-                parts.append((out, tuple(
-                    truncate_load(
-                        functional.memory.read(base + i * arr.elem_size,
-                                               arr.elem_size),
-                        arr.elem_size, arr.signed)
-                    for i in range(len(arr.data)))))
-            else:
-                parts.append((out, functional.regs[sp.var_regs[out]]))
-        assert tuple(parts) == _golden(prog)
+        assert extract_outputs(prog, sp.var_regs, sp.array_addrs,
+                               functional.regs, functional.memory) \
+            == _golden(prog)
         assert stats.cycles > 0
 
 
