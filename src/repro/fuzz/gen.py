@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import List, Optional
 
+from ..serialize import dataclass_from_dict, dataclass_to_dict
 from ..tir import (
     Array,
     Assign,
@@ -83,21 +84,15 @@ class GenConfig:
     p_nested: float = 0.45        # chance a statement is a loop/branch
 
     def to_dict(self) -> dict:
-        return {"max_top_stmts": self.max_top_stmts,
-                "max_block_stmts": self.max_block_stmts,
-                "max_expr_depth": self.max_expr_depth,
-                "max_loop_depth": self.max_loop_depth,
-                "max_trip": self.max_trip,
-                "array_lens": list(self.array_lens),
-                "p_float": self.p_float,
-                "p_nested": self.p_nested}
+        return {**dataclass_to_dict(self),
+                "array_lens": list(self.array_lens)}
 
     @classmethod
     def from_dict(cls, data: dict) -> "GenConfig":
         data = dict(data)
         if "array_lens" in data:
             data["array_lens"] = tuple(data["array_lens"])
-        return cls(**data)
+        return dataclass_from_dict(cls, data)
 
 
 class _Gen:

@@ -35,6 +35,7 @@ import traceback
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Union
 
+from ..serialize import dataclass_from_dict, dataclass_to_dict
 from .gen import GenConfig, generate
 
 #: check families in canonical order.
@@ -60,13 +61,11 @@ class Divergence:
     detail: str           # human-readable description
 
     def to_dict(self) -> Dict[str, str]:
-        return {"program": self.program, "stage": self.stage,
-                "detail": self.detail}
+        return dataclass_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, str]) -> "Divergence":
-        return cls(program=data["program"], stage=data["stage"],
-                   detail=data["detail"])
+        return dataclass_from_dict(cls, data)
 
 
 def _crash(program, stage, exc) -> Divergence:

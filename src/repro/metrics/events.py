@@ -12,7 +12,7 @@ The lifecycle vocabulary (one sweep's trace, in causal order)::
     sweep_begin                      the sweep declares its job count
       submit      per job            a cache miss enters the queue
       cache_hit   per job            served from the result cache
-      queued      per job            handed to the worker pool
+      queued      per job/attempt    entered the sweep's queue
       start       per job/attempt    a worker began executing (its pid)
       finish      per job            the attempt succeeded (elapsed_s)
       retry       per job/fault      exception | timeout | crash
@@ -25,7 +25,7 @@ enforced by :func:`validate_event` (the CI schema gate).
 
 :func:`fold` is the one rule that turns a lifecycle event into fleet
 counters.  A live sweep folds each event as it happens
-(:meth:`FleetMetrics.emit`, plus each collected job's ``finish``), and
+(:meth:`FleetMetrics.emit`, plus each finished job's ``finish``), and
 :func:`replay_into` folds a recorded log, so ``simlab metrics`` over a
 finished log reads what the sweep process counted.
 """
@@ -243,7 +243,7 @@ class FleetMetrics:
 
     @property
     def events_path(self) -> Optional[str]:
-        """Worker-visible log path (pickled into job payload kwargs)."""
+        """The log path workers append their own events to."""
         return None if self.events is None else str(self.events.path)
 
     def counts(self) -> Dict[str, int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import time
 from typing import Dict, List, Optional
 
-from .events import read_events
+from .events import FleetMetrics, fold, read_events
 
 #: statistically honest minimum before the ETA is shown
 _MIN_LATENCY_SAMPLES = 2
@@ -50,15 +50,12 @@ def frame_state(events: List[Dict],
         "sweep_started": None,
         "sweep_elapsed": None,
         "sweep_done": False,
-        "cache_hits": 0,
-        "retries": 0,
-        "timeouts": 0,
-        "crashes": 0,
-        "failed": 0,
         "latencies": [],
     }
+    fleet = FleetMetrics()
     workers: Dict[int, Dict] = {}    # pid -> {key, label, since, busy}
     for record in window:
+        fold(fleet.registry, record)
         name = record.get("event")
         ts = record.get("ts", now)
         key = record.get("key")
@@ -73,7 +70,6 @@ def frame_state(events: List[Dict],
             jobs[key] = {"state": "submitted",
                          "label": record.get("label", key), "t": ts}
         elif name == "cache_hit":
-            state["cache_hits"] += 1
             jobs[key] = {"state": "cache_hit",
                          "label": record.get("label", key), "t": ts}
         elif name == "queued":
@@ -94,18 +90,14 @@ def frame_state(events: List[Dict],
             if worker is not None and worker.get("key") == key:
                 worker["busy"] = False
         elif name == "retry":
-            state["retries"] += 1
-            cause = record.get("cause")
-            if cause == "timeout":
-                state["timeouts"] += 1
-            elif cause == "crash":
-                state["crashes"] += 1
             job = jobs.setdefault(key, {"label": key})
             job.update(state="retrying", t=ts)
         elif name == "fail":
-            state["failed"] += 1
             job = jobs.setdefault(key, {"label": key})
             job.update(state="failed", t=ts)
+    counts = fleet.counts()
+    for field in ("cache_hits", "retries", "timeouts", "crashes", "failed"):
+        state[field] = counts[field]
 
     by_state: Dict[str, int] = {}
     for job in jobs.values():

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..compiler import compile_tir
+from ..serialize import dataclass_from_dict, dataclass_to_dict
 from ..tir import TirProgram
 from ..uarch.config import PROTOTYPE, TripsConfig
 from ..uarch.proc import TripsProcessor
@@ -88,30 +89,12 @@ class SamplingConfig:
     phase_seed: int = 1
 
     def to_dict(self) -> Dict[str, object]:
-        return {"interval_blocks": self.interval_blocks,
-                "warmup_blocks": self.warmup_blocks,
-                "measure_blocks": self.measure_blocks,
-                "offset_blocks": self.offset_blocks,
-                "warm_horizon": self.warm_horizon,
-                "jitter": self.jitter,
-                "clustering": self.clustering,
-                "phase_windows": self.phase_windows,
-                "max_phases": self.max_phases,
-                "phase_seed": self.phase_seed}
+        return dataclass_to_dict(self)
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "SamplingConfig":
-        horizon = data.get("warm_horizon")
-        return cls(interval_blocks=int(data["interval_blocks"]),
-                   warmup_blocks=int(data["warmup_blocks"]),
-                   measure_blocks=int(data["measure_blocks"]),
-                   offset_blocks=int(data.get("offset_blocks", 0)),
-                   warm_horizon=None if horizon is None else int(horizon),
-                   jitter=float(data.get("jitter", 0.25)),
-                   clustering=bool(data.get("clustering", False)),
-                   phase_windows=int(data.get("phase_windows", 12)),
-                   max_phases=int(data.get("max_phases", 8)),
-                   phase_seed=int(data.get("phase_seed", 1)))
+        """Fields missing from an older record keep their defaults."""
+        return dataclass_from_dict(cls, data)
 
     def validate(self) -> None:
         if self.measure_blocks <= 0 or self.interval_blocks <= 0:

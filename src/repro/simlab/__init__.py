@@ -6,9 +6,9 @@ simulations.  simlab gives all of them one engine:
 
 * :class:`RunSpec` — a content-hashed job description (workload, level,
   full config, code fingerprint).
-* :func:`run_specs` — a process-pool scheduler with per-job timeout,
-  retry-once-on-crash, and deterministic, spec-ordered results
-  (``workers=0`` is a serial in-process fallback with identical output).
+* :func:`run_specs` — a scheduler over worker processes it owns, with a
+  per-attempt timeout, one retry per job, and deterministic, spec-ordered
+  results (``workers=0`` runs serially in-process, with identical output).
 * :class:`ResultCache` — JSON records under ``.simlab-cache/`` keyed by
   spec hash; repeated sweeps are pure cache hits, and any source change
   invalidates every key via the code fingerprint.

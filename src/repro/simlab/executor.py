@@ -4,20 +4,20 @@ Scheduling contract (the part the paper-reproduction sweeps rely on):
 
 * **Deterministic results.** Every job is a pure function of its spec, so
   ``run_specs(specs, workers=N)`` returns byte-identical results for any
-  ``N`` — results come back *in spec order* regardless of completion
-  order, and ``workers=0`` runs everything serially in-process (the
-  tier-1 default: no pools, no cache, exactly the old harness behaviour).
+  ``N`` — recorded as jobs finish, returned *in spec order* — and
+  ``workers=0`` runs everything serially in-process (the tier-1
+  default: no workers, no cache, exactly the old harness behaviour).
 * **Caching.** With a :class:`~repro.simlab.cache.ResultCache`, each spec
   is looked up by content hash before simulating and persisted after, so
   a repeated sweep is pure cache hits.
-* **Fault tolerance.** Each job gets one retry: a worker crash
-  (``BrokenProcessPool``), a per-job timeout, or an in-job exception
-  resubmits the job once; a second failure raises :class:`SimlabError`.
-  A timeout or crash replaces the whole pool (terminating any hung
-  worker) and resubmits the jobs that had not finished — their results
-  are unaffected, only their wall-clock is.  A sweep that raises
-  terminates its pool; one that returns has waited for its workers and
-  the pool's threads to end.
+* **Fault tolerance.** The executor owns its workers and gives each one
+  job at a time, so a crash (the worker's pipe closes) or a timeout (the
+  attempt outlives ``timeout``; the worker is killed) is charged to the
+  job that caused it, and only that worker is replaced.  One rule,
+  :func:`_fault`, serial or parallel: a job's first failed attempt
+  spends its one retry, the second raises :class:`SimlabError` with the
+  worker's traceback or exit status.  A sweep that returns has joined
+  every worker; one that raises kills its busy ones and joins them all.
 * **Observability, off by default.** With a
   :class:`~repro.metrics.events.FleetMetrics` passed as ``metrics=``,
   the executor emits each lifecycle event, which appends it to the
@@ -25,20 +25,20 @@ Scheduling contract (the part the paper-reproduction sweeps rely on):
   (:func:`repro.metrics.events.fold`, the rule ``simlab metrics``
   replays).  Workers write their own ``start``/``finish`` lines, so
   ``simlab watch`` sees true per-worker occupancy; the parent folds a
-  job's ``finish`` when it collects the job.  With the default
-  ``metrics=None`` nothing is emitted, and results are identical
-  either way.
+  job's ``finish`` when its result arrives.  With the default
+  ``metrics=None`` nothing is emitted; results are identical either way.
 """
 
 from __future__ import annotations
 
+import multiprocessing.connection
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from concurrent.futures.process import BrokenProcessPool
+import traceback
+from collections import deque
+from contextlib import suppress
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..metrics.events import EventLog, fold
 from .cache import ResultCache
@@ -53,6 +53,10 @@ Logger = Callable[[str], None]
 
 class SimlabError(RuntimeError):
     """A job failed twice, or a spec is malformed."""
+
+
+class FailedAttempt(Exception):
+    """A failed attempt's traceback or exit status: a SimlabError's cause."""
 
 
 # ----------------------------------------------------------------------
@@ -138,27 +142,31 @@ def _selftest(payload: str) -> Dict[str, Any]:
     raise SimlabError(f"unknown selftest mode {mode!r}")
 
 
-def _execute_payload(payload: Dict[str, Any],
-                     events_path: Optional[str] = None,
-                     key: str = "") -> Dict[str, Any]:
-    """Worker entry point: spec dict in, timed result envelope out.
-
-    ``events_path`` (set only when the sweep carries metrics) makes the
-    worker append its own ``start``/``finish`` lifecycle events — the
-    parent only learns of completion when it collects the future, which
-    may be long after the fact.  A failed attempt emits no ``finish``;
-    the parent's ``retry``/``fail`` events cover it.
-    """
+def _attempt(payload: Dict[str, Any], events_path: Optional[str],
+             key: str) -> Tuple[str, Any]:
+    """One attempt at a job, spec dict in: ``("ok", envelope)`` with the
+    result and its wall time, or ``("exception", traceback)``.  A sweep
+    with metrics passes ``events_path``: the attempt then logs its own
+    ``start`` and, if it succeeds, ``finish`` event, with its pid."""
     events = None
     if events_path is not None:
         events = EventLog(events_path)
         events.emit("start", key=key)
     start = time.perf_counter()
-    result = execute_spec(RunSpec.from_dict(payload))
+    try:
+        result = execute_spec(RunSpec.from_dict(payload))
+    except Exception:
+        return "exception", traceback.format_exc()
     elapsed = round(time.perf_counter() - start, 4)
     if events is not None:
         events.emit("finish", key=key, elapsed_s=elapsed)
-    return {"result": result, "elapsed_s": elapsed}
+    return "ok", {"result": result, "elapsed_s": elapsed}
+
+
+def _work(conn, events_path: Optional[str]) -> None:
+    """Worker process body: attempt each job the parent sends, until None."""
+    for payload, key in iter(conn.recv, None):
+        conn.send(_attempt(payload, events_path, key))
 
 
 # ----------------------------------------------------------------------
@@ -177,11 +185,11 @@ def run_specs(specs: Sequence[RunSpec], workers: int = 0,
     """Run every spec, returning result dicts aligned with ``specs``.
 
     ``workers=0`` executes serially in-process; ``workers=N`` fans out
-    over N processes; ``workers=None`` uses one per CPU.  ``timeout`` is
-    the per-job wait budget once collection reaches that job (parallel
-    mode only — a serial job runs to completion).  ``metrics`` is an
-    optional :class:`~repro.metrics.events.FleetMetrics`; results are
-    identical with or without it.
+    over N processes; ``workers=None`` uses one per CPU.  ``timeout``
+    bounds each attempt's wall time from when its worker is handed the
+    job (parallel mode only — a serial job runs to completion).
+    ``metrics`` is an optional :class:`~repro.metrics.events.FleetMetrics`;
+    results are identical with or without it.
     """
     log = log or (lambda message: None)
     workers = resolve_workers(workers)
@@ -206,14 +214,7 @@ def run_specs(specs: Sequence[RunSpec], workers: int = 0,
                              kind=spec.kind)
 
     try:
-        if not pending:
-            return results
-        if workers <= 0:
-            _run_serial(specs, pending, results, cache, log, total,
-                        metrics)
-        else:
-            _run_parallel(specs, pending, results, workers, timeout,
-                          cache, log, total, metrics)
+        _run(specs, pending, results, workers, timeout, cache, log, metrics)
         return results
     finally:
         if metrics is not None:
@@ -225,10 +226,10 @@ def run_specs(specs: Sequence[RunSpec], workers: int = 0,
                 elapsed_s=round(time.perf_counter() - start_t, 4))
 
 
-def _record(spec: RunSpec, envelope: Dict[str, Any],
-            results: List[Optional[Dict[str, Any]]], index: int,
-            cache: Optional[ResultCache], log: Logger, total: int,
-            metrics=None) -> None:
+def _record(specs: Sequence[RunSpec], index: int, envelope: Dict[str, Any],
+            results: List[Optional[Dict[str, Any]]],
+            cache: Optional[ResultCache], log: Logger, metrics=None) -> None:
+    spec = specs[index]
     results[index] = envelope["result"]
     if cache is not None:
         cache.put(spec.key, {"spec": spec.to_dict(),
@@ -239,124 +240,119 @@ def _record(spec: RunSpec, envelope: Dict[str, Any],
         # the worker has already written this record to the log
         fold(metrics.registry, {"event": "finish", "key": spec.key,
                                 "elapsed_s": envelope["elapsed_s"]})
-    log(f"[simlab] {index + 1}/{total} done  {spec.label} "
+    log(f"[simlab] {index + 1}/{len(specs)} done  {spec.label} "
         f"({envelope['elapsed_s']:.2f}s)")
 
 
-def _retry(metrics, spec: RunSpec, cause: str) -> None:
+def _fault(specs: Sequence[RunSpec], index: int, cause: str, detail: str,
+           retried: Set[int], log: Logger, metrics=None) -> None:
+    """Charge a failed attempt (``cause`` exception, timeout or crash) to
+    its job: the first spends the job's one retry, the second raises
+    :class:`SimlabError` from ``detail``, the traceback or exit status."""
+    spec = specs[index]
+    summary = detail.rstrip().splitlines()[-1]
+    if index in retried:
+        if metrics is not None:
+            metrics.emit("fail", key=spec.key, error=summary)
+        raise SimlabError(f"{spec.label}: failed after retry ({summary})") \
+            from FailedAttempt(detail)
+    retried.add(index)
+    log(f"[simlab] {index + 1}/{len(specs)} retry {spec.label} ({summary})")
     if metrics is not None:
         metrics.emit("retry", key=spec.key, cause=cause)
 
 
-def _fail(metrics, spec: RunSpec, exc: BaseException) -> None:
-    if metrics is not None:
-        metrics.emit("fail", key=spec.key, error=repr(exc))
+class _Worker:
+    """A worker process, our end of its pipe, and its job (None: idle)."""
+
+    def __init__(self, events_path: Optional[str]):
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(target=_work,
+                                               args=(child, events_path))
+        self.process.start()
+        child.close()            # the worker's exit now reads as EOF here
+        self.job, self.sent = None, 0.0     # job index, when it was sent
+
+    def stop(self) -> None:
+        """Tell an idle worker to exit, or kill a busy one; join it."""
+        if self.job is None:
+            with suppress(OSError):
+                self.conn.send(None)
+        else:
+            self.process.kill()
+        self.process.join()
+        self.conn.close()
 
 
-def _run_serial(specs: Sequence[RunSpec], pending: Sequence[int],
-                results: List[Optional[Dict[str, Any]]],
-                cache: Optional[ResultCache], log: Logger,
-                total: int, metrics=None) -> None:
+def _run(specs: Sequence[RunSpec], pending: List[int],
+         results: List[Optional[Dict[str, Any]]], workers: int,
+         timeout: Optional[float], cache: Optional[ResultCache],
+         log: Logger, metrics=None) -> None:
+    """Run the pending jobs from one queue, in-process at ``workers=0``
+    and else on worker processes; record each outcome or charge it."""
     events_path = metrics.events_path if metrics is not None else None
-    for i in pending:
-        payload = specs[i].to_dict()
-        try:
-            envelope = _execute_payload(payload, events_path,
-                                        specs[i].key)
-        except Exception as first:
-            log(f"[simlab] {i + 1}/{total} retry {specs[i].label} "
-                f"({first!r})")
-            _retry(metrics, specs[i], "exception")
-            try:
-                envelope = _execute_payload(payload, events_path,
-                                            specs[i].key)
-            except Exception as second:
-                _fail(metrics, specs[i], second)
-                raise SimlabError(
-                    f"{specs[i].label}: failed after retry "
-                    f"({second!r})") from second
-        _record(specs[i], envelope, results, i, cache, log, total, metrics)
+    queue: deque = deque()
+    retried: Set[int] = set()
 
-
-def _abandon_pool(pool: ProcessPoolExecutor) -> None:
-    """Terminate a pool's workers and shut it down without waiting."""
-    for process in list(getattr(pool, "_processes", {}).values()):
-        try:
-            process.terminate()
-        except OSError:
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
-
-
-def _replace_pool(pool: ProcessPoolExecutor,
-                  workers: int) -> ProcessPoolExecutor:
-    """Terminate a broken/hung pool and stand up a fresh one."""
-    _abandon_pool(pool)
-    return ProcessPoolExecutor(max_workers=workers)
-
-
-def _run_parallel(specs: Sequence[RunSpec], pending: List[int],
-                  results: List[Optional[Dict[str, Any]]], workers: int,
-                  timeout: Optional[float], cache: Optional[ResultCache],
-                  log: Logger, total: int, metrics=None) -> None:
-    payloads = {i: specs[i].to_dict() for i in pending}
-    events_path = metrics.events_path if metrics is not None else None
-    pool = ProcessPoolExecutor(max_workers=workers)
-
-    def submit(pool, i):
+    def enqueue(i: int, retry: bool = False) -> None:
         if metrics is not None:
             metrics.emit("queued", key=specs[i].key)
-        return pool.submit(_execute_payload, payloads[i], events_path,
-                           specs[i].key)
+        if retry:
+            queue.appendleft(i)      # fail fast: a retry runs next
+        else:
+            queue.append(i)
 
+    def settle(i: int, status: str, value: Any) -> None:
+        if status == "ok":
+            _record(specs, i, value, results, cache, log, metrics)
+        else:
+            _fault(specs, i, status, value, retried, log, metrics)
+            enqueue(i, retry=True)
+
+    for i in pending:
+        enqueue(i)
+    if workers <= 0:
+        while queue:
+            i = queue.popleft()
+            settle(i, *_attempt(specs[i].to_dict(), events_path,
+                                specs[i].key))
+        return
+    pool: List[_Worker] = []
     try:
-        futures = {i: submit(pool, i) for i in pending}
-        retried = set()
-        position = 0
-        # Collect strictly in submission order: determinism costs nothing
-        # (every job must finish anyway) and keeps results aligned.
-        while position < len(pending):
-            i = pending[position]
-            try:
-                envelope = futures[i].result(timeout=timeout)
-            except (FutureTimeoutError, BrokenProcessPool) as exc:
-                # The pool itself is unusable (hung worker or crashed
-                # process): rebuild it and resubmit every unfinished job.
-                # Only the job being collected spends its retry; the
-                # others are victims and keep their budget.
-                cause = "timeout" if isinstance(exc, FutureTimeoutError) \
-                    else "crash"
-                if i in retried:
-                    _fail(metrics, specs[i], exc)
-                    raise SimlabError(f"{specs[i].label}: failed after "
-                                      f"retry ({exc!r})") from exc
-                retried.add(i)
-                log(f"[simlab] {i + 1}/{total} retry {specs[i].label} "
-                    f"({type(exc).__name__})")
-                _retry(metrics, specs[i], cause)
-                pool = _replace_pool(pool, workers)
-                for j in pending[position:]:
-                    if j == i or not futures[j].done():
-                        futures[j] = submit(pool, j)
-                continue
-            except Exception as exc:
-                if i in retried:
-                    _fail(metrics, specs[i], exc)
-                    raise SimlabError(f"{specs[i].label}: failed after "
-                                      f"retry ({exc!r})") from exc
-                retried.add(i)
-                log(f"[simlab] {i + 1}/{total} retry {specs[i].label} "
-                    f"({exc!r})")
-                _retry(metrics, specs[i], "exception")
-                futures[i] = submit(pool, i)
-                continue
-            _record(specs[i], envelope, results, i, cache, log, total,
-                    metrics)
-            position += 1
-    except BaseException:
-        _abandon_pool(pool)
-        raise
-    # Every job is done: wait for the workers and the pool's threads to
-    # end, so nothing of this pool outlives the call (a pool forked
-    # beside a live one can inherit a lock no thread will release).
-    pool.shutdown(wait=True)
+        pool.extend(_Worker(events_path)
+                    for _ in range(min(workers, len(pending))))
+        while True:
+            for worker in pool:
+                if worker.job is None and queue:
+                    worker.job = i = queue.popleft()
+                    worker.sent = time.monotonic()
+                    worker.conn.send((specs[i].to_dict(), specs[i].key))
+            busy = [worker for worker in pool if worker.job is not None]
+            if not busy:
+                return
+            wait_s = None if timeout is None else max(
+                0.0, min(w.sent for w in busy) + timeout - time.monotonic())
+            ready = multiprocessing.connection.wait([w.conn for w in busy],
+                                                    wait_s)
+            now = time.monotonic()
+            for worker in busy:
+                i = worker.job
+                if worker.conn in ready:
+                    try:
+                        status, value = worker.conn.recv()
+                        worker.job = None
+                    except (EOFError, OSError):
+                        worker.process.join()
+                        status, value = "crash", "worker exited with " \
+                            f"code {worker.process.exitcode}"
+                elif timeout is not None and now - worker.sent >= timeout:
+                    status, value = "timeout", f"timed out after {timeout:g} s"
+                else:
+                    continue
+                settle(i, status, value)
+                if worker.job is not None:   # dead or hung: replace it
+                    worker.stop()
+                    pool[pool.index(worker)] = _Worker(events_path)
+    finally:
+        for worker in pool:
+            worker.stop()

@@ -8,6 +8,8 @@ import threading
 
 import pytest
 
+from repro.metrics import FleetMetrics
+from repro.metrics.events import read_events
 from repro.sampling import SamplingConfig, run_sampled_workload
 from repro.simlab import (ResultCache, RunSpec, SimlabError, execute_spec,
                           run_specs)
@@ -16,6 +18,13 @@ from repro.simlab.executor import resolve_workers
 
 def _echo_specs(count):
     return [RunSpec.selftest(f"echo:{i}") for i in range(count)]
+
+
+def _retries(fleet):
+    """``(key, cause)`` of every retry event in a sweep's log."""
+    return [(event["key"], event["cause"])
+            for event in read_events(fleet.events.path)
+            if event["event"] == "retry"]
 
 
 class TestOrdering:
@@ -40,13 +49,23 @@ class TestOrdering:
 
 class TestTeardown:
     def test_pool_has_ended_when_run_specs_returns(self):
-        # a worker or pool thread left running would share the cores with
-        # the caller's next call, and a pool forked beside it can hang
+        # a worker or thread left running would share the cores with the
+        # caller's next call, and a worker forked beside a thread can hang
         threads = set(threading.enumerate())
         children = set(multiprocessing.active_children())
         run_specs([RunSpec.selftest("ok")] * 2, workers=1)
         assert set(multiprocessing.active_children()) <= children
         assert set(threading.enumerate()) <= threads
+
+    def test_workers_have_ended_when_run_specs_raises(self, tmp_path):
+        # the hung job's worker is busy when the failing job aborts the
+        # sweep: it is killed, not left sleeping
+        children = set(multiprocessing.active_children())
+        with pytest.raises(SimlabError, match="failed after retry"):
+            run_specs([RunSpec.selftest("fail-always"),
+                       RunSpec.selftest(f"hang-once:{tmp_path / 'flag'}")],
+                      workers=2)
+        assert set(multiprocessing.active_children()) <= children
 
 
 class TestCaching:
@@ -100,8 +119,8 @@ class TestRetry:
             run_specs([RunSpec.selftest("fail-always")], workers=2)
 
     def test_worker_crash_is_retried(self, tmp_path):
-        # first attempt kills the worker process outright
-        # (BrokenProcessPool); the pool is rebuilt and the job re-run
+        # first attempt kills its worker process outright; the worker's
+        # pipe closes, and that worker is replaced and the job re-run
         flag = tmp_path / "crash-once.flag"
         results = run_specs([RunSpec.selftest(f"crash-once:{flag}"),
                              RunSpec.selftest("ok")], workers=2)
@@ -109,12 +128,94 @@ class TestRetry:
         assert results[1]["ok"] is True
 
     def test_hung_job_times_out_and_retries(self, tmp_path):
-        # first attempt sleeps forever; the per-job timeout terminates
-        # the pool, and the retry (flag now set) completes immediately
+        # first attempt sleeps forever; at the timeout its worker is
+        # killed, and the retry (flag now set) completes immediately
         flag = tmp_path / "hang-once.flag"
         results = run_specs([RunSpec.selftest(f"hang-once:{flag}")],
                             workers=1, timeout=2.0)
         assert results[0]["retried"] is True
+
+
+class TestFaultAttribution:
+    """Each worker holds one job, so a fault is charged to the job that
+    caused it, and no other job loses its one retry."""
+
+    def test_one_crash_costs_one_retry(self, tmp_path):
+        for sweep in range(10):
+            crash = RunSpec.selftest(
+                f"crash-once:{tmp_path / f'crash-{sweep}.flag'}")
+            fleet = FleetMetrics.for_cache_dir(tmp_path / f"sweep-{sweep}")
+            results = run_specs(_echo_specs(4) + [crash], workers=2,
+                                metrics=fleet)
+            assert _retries(fleet) == [(crash.key, "crash")], sweep
+            assert results[4]["retried"] is True
+
+    @pytest.mark.parametrize("method", ["fork", "spawn"])
+    def test_a_crash_and_a_failure_both_survive(self, tmp_path, method):
+        saved = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method(method, force=True)
+        try:
+            for sweep in range(3):
+                crash = RunSpec.selftest(
+                    f"crash-once:{tmp_path / f'crash-{sweep}.flag'}")
+                fail = RunSpec.selftest(
+                    f"fail-once:{tmp_path / f'fail-{sweep}.flag'}")
+                fleet = FleetMetrics.for_cache_dir(tmp_path / f"s{sweep}")
+                results = run_specs([crash, fail] + _echo_specs(3),
+                                    workers=2, metrics=fleet)
+                assert sorted(_retries(fleet)) == sorted(
+                    [(crash.key, "crash"), (fail.key, "exception")])
+                assert results[0]["retried"] and results[1]["retried"]
+                assert [r["value"] for r in results[2:]] == ["0", "1", "2"]
+        finally:
+            multiprocessing.set_start_method(saved, force=True)
+
+    def test_crash_retry_names_the_exit_status(self, tmp_path):
+        crash = RunSpec.selftest(f"crash-once:{tmp_path / 'crash.flag'}")
+        lines = []
+        run_specs([crash, RunSpec.selftest("ok")], workers=2,
+                  log=lines.append)
+        retries = [line for line in lines if " retry " in line]
+        assert len(retries) == 1
+        assert crash.label in retries[0]
+        assert "worker exited with code 13" in retries[0]
+
+    def test_no_thread_is_alive_when_a_worker_starts(self, tmp_path,
+                                                     monkeypatch):
+        # a process forked while another thread runs can inherit a lock
+        # that no thread will ever release
+        counts = []
+        start = multiprocessing.process.BaseProcess.start
+
+        def counting_start(process):
+            counts.append(threading.active_count())
+            start(process)
+
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                            counting_start)
+        for sweep in range(5):
+            crash = RunSpec.selftest(
+                f"crash-once:{tmp_path / f'crash-{sweep}.flag'}")
+            run_specs([crash] + _echo_specs(4), workers=2)
+        assert counts and counts == [1] * len(counts)
+
+    def test_a_hang_is_charged_to_the_hung_job_only(self, tmp_path):
+        hang = RunSpec.selftest(f"hang-once:{tmp_path / 'hang.flag'}")
+        fleet = FleetMetrics.for_cache_dir(tmp_path)
+        results = run_specs([hang] + _echo_specs(3), workers=2,
+                            timeout=2.0, metrics=fleet)
+        assert _retries(fleet) == [(hang.key, "timeout")]
+        assert results[0]["retried"] is True
+        assert [r["value"] for r in results[1:]] == ["0", "1", "2"]
+
+    def test_persistent_failure_carries_the_worker_traceback(self):
+        with pytest.raises(SimlabError, match="failed after retry") as info:
+            run_specs([RunSpec.selftest("fail-always"),
+                       RunSpec.selftest("ok")], workers=2)
+        assert "deliberate persistent failure" in str(info.value)
+        worker = str(info.value.__cause__)       # the worker's traceback
+        assert "Traceback (most recent call last)" in worker
+        assert "in _selftest" in worker
 
 
 class TestValidation:

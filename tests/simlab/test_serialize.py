@@ -63,3 +63,36 @@ class TestGenericHelpers:
             dataclass_to_dict({"not": "a dataclass"})
         with pytest.raises(TypeError):
             dataclass_from_dict(dict, {})
+
+
+class TestConfigCodecs:
+    def test_to_dict_text_is_pinned(self):
+        # these dicts feed RunSpec keys and the fuzz CLI's JSON: a changed
+        # key order or value type would re-key every cached sampled and
+        # fuzz result
+        from repro.fuzz.gen import GenConfig
+        from repro.fuzz.oracle import Divergence
+        from repro.sampling import SamplingConfig
+        clustered = SamplingConfig(interval_blocks=800, warmup_blocks=80,
+                                   measure_blocks=120, clustering=True,
+                                   phase_windows=10, warm_horizon=400)
+        texts = [json.dumps(obj.to_dict()) for obj in (
+            SamplingConfig(), clustered, GenConfig(),
+            Divergence("fuzz_00000007", "arch:hand", "r3 differs"))]
+        assert texts == [
+            '{"interval_blocks": 2000, "warmup_blocks": 150, '
+            '"measure_blocks": 300, "offset_blocks": 0, '
+            '"warm_horizon": null, "jitter": 0.25, "clustering": false, '
+            '"phase_windows": 12, "max_phases": 8, "phase_seed": 1}',
+            '{"interval_blocks": 800, "warmup_blocks": 80, '
+            '"measure_blocks": 120, "offset_blocks": 0, '
+            '"warm_horizon": 400, "jitter": 0.25, "clustering": true, '
+            '"phase_windows": 10, "max_phases": 8, "phase_seed": 1}',
+            '{"max_top_stmts": 6, "max_block_stmts": 3, '
+            '"max_expr_depth": 3, "max_loop_depth": 2, "max_trip": 4, '
+            '"array_lens": [8, 16], "p_float": 0.3, "p_nested": 0.45}',
+            '{"program": "fuzz_00000007", "stage": "arch:hand", '
+            '"detail": "r3 differs"}',
+        ]
+        assert GenConfig.from_dict(json.loads(texts[2])) == GenConfig()
+        assert SamplingConfig.from_dict(json.loads(texts[1])) == clustered
