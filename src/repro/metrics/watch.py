@@ -89,12 +89,15 @@ def frame_state(events: List[Dict],
             worker = workers.get(record.get("pid"))
             if worker is not None and worker.get("key") == key:
                 worker["busy"] = False
-        elif name == "retry":
+        elif name in ("retry", "fail"):
             job = jobs.setdefault(key, {"label": key})
-            job.update(state="retrying", t=ts)
-        elif name == "fail":
-            job = jobs.setdefault(key, {"label": key})
-            job.update(state="failed", t=ts)
+            job.update(state="retrying" if name == "retry" else "failed",
+                       t=ts)
+            # the parent logs a fault, not the worker that held the job:
+            # a crashed or killed worker writes no finish of its own
+            for worker in workers.values():
+                if worker.get("key") == key:
+                    worker["busy"] = False
     counts = fleet.counts()
     for field in ("cache_hits", "retries", "timeouts", "crashes", "failed"):
         state[field] = counts[field]

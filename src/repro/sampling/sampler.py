@@ -27,6 +27,7 @@ ordinary full simulation.
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -250,6 +251,13 @@ def run_sampled_program(program, config: TripsConfig = PROTOTYPE,
         if ff.halted:
             break
         ckpt = take_checkpoint(ff)
+        # The last window's core is a reference cycle (its tiles point
+        # back at it) that holds a memory image and warm predictor
+        # tables: collect it before building the next one, so memory
+        # holds one window's core, not however many the collector's
+        # schedule lets pile up.
+        proc = None
+        gc.collect()
         proc = TripsProcessor(program, config, telemetry=telemetry,
                               checkpoint=ckpt)
         warm_target = start - ff.stats.blocks

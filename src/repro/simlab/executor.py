@@ -163,10 +163,35 @@ def _attempt(payload: Dict[str, Any], events_path: Optional[str],
     return "ok", {"result": result, "elapsed_s": elapsed}
 
 
+#: how often an idle worker checks that the sweep process still runs
+_ORPHAN_POLL_S = 1.0
+
+
 def _work(conn, events_path: Optional[str]) -> None:
-    """Worker process body: attempt each job the parent sends, until None."""
-    for payload, key in iter(conn.recv, None):
-        conn.send(_attempt(payload, events_path, key))
+    """Worker process body: attempt each job the parent sends, until None.
+
+    An idle worker also exits once the sweep process is gone.  A forked
+    worker holds the parent's end of its own pipe (and of every older
+    sibling's), so a sweep killed outright never reads as EOF here; the
+    worker instead sees that it was re-parented.  Under ``forkserver``
+    its parent is the fork server, which exits with the sweep."""
+    parent = os.getppid()
+    while True:
+        try:
+            if not conn.poll(_ORPHAN_POLL_S):
+                if os.getppid() != parent:
+                    return
+                continue
+            job = conn.recv()
+        except EOFError:
+            return                   # the sweep's end of the pipe closed
+        if job is None:
+            return
+        result = _attempt(job[0], events_path, job[1])
+        try:
+            conn.send(result)
+        except BrokenPipeError:
+            return
 
 
 # ----------------------------------------------------------------------

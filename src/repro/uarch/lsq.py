@@ -18,8 +18,8 @@ Responsibilities modelled here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Tuple
 
 Key = Tuple[int, int]   # (block uid, LSID) = program order
 
@@ -40,6 +40,9 @@ class LoadStoreQueue:
     def __init__(self, capacity: int = 256):
         self.capacity = capacity
         self.entries: Dict[Key, LsqEntry] = {}
+        #: block uid -> the LSIDs it holds here, so commit and flush touch
+        #: one block's entries instead of scanning the whole queue
+        self._lsids: Dict[int, List[int]] = {}
         self.peak_occupancy = 0
 
     def is_full(self) -> bool:
@@ -58,8 +61,7 @@ class LoadStoreQueue:
             raise ValueError(f"duplicate LSQ key {key}")
         entry = LsqEntry(key=key, is_store=True, address=address, size=size,
                          data=data, nullified=nullified)
-        self.entries[key] = entry
-        self.peak_occupancy = max(self.peak_occupancy, len(self.entries))
+        self._add(key, entry)
         if nullified or address is None:
             return []
         violators = []
@@ -73,9 +75,19 @@ class LoadStoreQueue:
     def insert_load(self, key: Key, address: int, size: int) -> None:
         if key in self.entries:
             raise ValueError(f"duplicate LSQ key {key}")
-        self.entries[key] = LsqEntry(key=key, is_store=False,
-                                     address=address, size=size)
-        self.peak_occupancy = max(self.peak_occupancy, len(self.entries))
+        self._add(key, LsqEntry(key=key, is_store=False, address=address,
+                                size=size))
+
+    def _add(self, key: Key, entry: LsqEntry) -> None:
+        entries = self.entries
+        entries[key] = entry
+        lsids = self._lsids.get(key[0])
+        if lsids is None:
+            self._lsids[key[0]] = [key[1]]
+        else:
+            lsids.append(key[1])
+        if len(entries) > self.peak_occupancy:
+            self.peak_occupancy = len(entries)
 
     # ------------------------------------------------------------------
     def forward(self, key: Key, address: int, size: int,
@@ -103,19 +115,28 @@ class LoadStoreQueue:
         return int.from_bytes(result, "little")
 
     # ------------------------------------------------------------------
-    def flush_blocks(self, uids: Set[int]) -> int:
+    def flush_blocks(self, uids: Iterable[int]) -> int:
         """Discard all entries of the flushed blocks."""
-        doomed = [k for k in self.entries if k[0] in uids]
-        for k in doomed:
-            del self.entries[k]
-        return len(doomed)
+        entries = self.entries
+        dropped = 0
+        for uid in uids:
+            lsids = self._lsids.pop(uid, None)
+            if lsids is not None:
+                for lsid in lsids:
+                    del entries[(uid, lsid)]
+                dropped += len(lsids)
+        return dropped
 
     def commit_block(self, uid: int) -> List[LsqEntry]:
-        """Remove and return the block's entries; stores in LSID order."""
-        keys = sorted(k for k in self.entries if k[0] == uid)
+        """Remove the block's entries; return its live stores in LSID
+        order (the order they drain to memory)."""
+        lsids = self._lsids.pop(uid, None)
+        if lsids is None:
+            return []
+        pop = self.entries.pop
         out = []
-        for k in keys:
-            entry = self.entries.pop(k)
+        for lsid in sorted(lsids):
+            entry = pop((uid, lsid))
             if entry.is_store and not entry.nullified:
                 out.append(entry)
         return out

@@ -17,18 +17,21 @@ the critical-path analyzer can split operand latency into the paper's
 
 Fast path: ``step()`` only visits *active* routers — those with at least
 one occupied input queue — instead of scanning the whole grid, and all
-routing decisions come from tables precomputed at construction time
+routing decisions come from tables built once per mesh shape
 (``(node, dest) -> out port`` and ``(node, out port) -> (neighbor, entry
-port)``).  The arbitration, timing and delivery order are cycle-for-cycle
-identical to a full scan: routers are visited in row-major coordinate
-order, which is exactly the order the full scan used, and quiescent
-routers contribute nothing to a scan by construction.
-``tests/uarch/test_mesh_reference.py`` checks this against a full-scan
-reference model under randomized traffic.
+port)``) and shared by every mesh of that shape.  A single-VC,
+single-lane mesh (the OPN) steps with its own arbiter, which drops the
+bookkeeping only several VCs or lanes need.  The arbitration, timing and
+delivery order are cycle-for-cycle identical to a full scan: routers are
+visited in row-major coordinate order, which is exactly the order the
+full scan used, and quiescent routers contribute nothing to a scan by
+construction.  ``tests/uarch/test_mesh_reference.py`` checks this
+against a full-scan reference model under randomized traffic.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Set, Tuple
@@ -36,20 +39,24 @@ from typing import Deque, Dict, List, Optional, Set, Tuple
 Coord = Tuple[int, int]   # (row, col)
 
 
-@dataclass(slots=True)
 class Packet:
     """One network packet (an operand, a control message, a cache line)."""
 
-    src: Coord
-    dest: Coord
-    payload: object = None
-    flits: int = 1
-    vc: int = 0
-    created: int = -1        # cycle handed to the network (or queued)
-    injected: int = -1       # cycle accepted into the source router
-    delivered: int = -1      # cycle ejected at the destination
-    hops: int = 0
-    qcycles: int = -1        # contention cycles, filled in at delivery
+    __slots__ = ("src", "dest", "payload", "flits", "vc", "created",
+                 "injected", "delivered", "hops", "qcycles")
+
+    def __init__(self, src: Coord, dest: Coord, payload: object = None,
+                 flits: int = 1, vc: int = 0):
+        self.src = src
+        self.dest = dest
+        self.payload = payload
+        self.flits = flits
+        self.vc = vc
+        self.created = -1        # cycle handed to the network (or queued)
+        self.injected = -1       # cycle accepted into the source router
+        self.delivered = -1      # cycle ejected at the destination
+        self.hops = 0
+        self.qcycles = -1        # contention cycles, filled in at delivery
 
     @property
     def min_latency(self) -> int:
@@ -65,24 +72,44 @@ class Packet:
         return max(0, (self.delivered - self.injected) - self.min_latency)
 
 
-class _Port:
-    """One input FIFO (per VC) feeding a router."""
-
-    __slots__ = ("queues", "depth")
-
-    def __init__(self, vcs: int, depth: int):
-        self.queues: List[Deque[Packet]] = [deque() for _ in range(vcs)]
-        self.depth = depth
-
-    def has_space(self, vc: int) -> bool:
-        return len(self.queues[vc]) < self.depth
-
-
 # port indices
 _LOCAL, _NORTH, _SOUTH, _EAST, _WEST = range(5)
 _NUM_PORTS = 5
 #: input port of the neighbour that a move through each output port fills
 _ENTRY = {_NORTH: _SOUTH, _SOUTH: _NORTH, _EAST: _WEST, _WEST: _EAST}
+#: (row, col) step of a move through each output port
+_STEP = {_NORTH: (-1, 0), _SOUTH: (1, 0), _EAST: (0, 1), _WEST: (0, -1)}
+
+
+def _next_hop(at: Coord, dest: Coord) -> int:
+    """Dimension-order (row-first) output port from ``at`` toward
+    ``dest``; ``_LOCAL`` ejects at the destination."""
+    row, col = at
+    if row != dest[0]:
+        return _SOUTH if dest[0] > row else _NORTH
+    if col != dest[1]:
+        return _EAST if dest[1] > col else _WEST
+    return _LOCAL
+
+
+@functools.lru_cache(maxsize=None)
+def _routing_tables(rows: int, cols: int):
+    """``(route, hop)`` of a rows x cols mesh: ``route[node][dest]`` is
+    the out port, ``hop[node][out]`` the ``(neighbour, its entry port)``
+    a move through it reaches (None off the edge).  Built once per shape
+    and shared read-only by every mesh of that shape."""
+    coords = [(r, c) for r in range(rows) for c in range(cols)]
+    route: Dict[Coord, Dict[Coord, int]] = {}
+    hop: Dict[Coord, Tuple[Optional[Tuple[Coord, int]], ...]] = {}
+    for node in coords:
+        route[node] = {dest: _next_hop(node, dest) for dest in coords}
+        hops: List[Optional[Tuple[Coord, int]]] = [None] * _NUM_PORTS
+        for out, (dr, dc) in _STEP.items():
+            neighbor = (node[0] + dr, node[1] + dc)
+            if 0 <= neighbor[0] < rows and 0 <= neighbor[1] < cols:
+                hops[out] = (neighbor, _ENTRY[out])
+        hop[node] = tuple(hops)
+    return route, hop
 
 
 @dataclass
@@ -111,33 +138,11 @@ class WormholeMesh:
         self.cycle_count = 0
         coords = [(r, c) for r in range(rows) for c in range(cols)]
         self._coords = coords
-        # ports[node][port] -> _Port
-        self.ports: Dict[Coord, List[_Port]] = {
-            node: [_Port(vcs, queue_depth) for _ in range(_NUM_PORTS)]
+        # ports[node][port][vc] -> the input FIFO
+        self.ports: Dict[Coord, List[List[Deque[Packet]]]] = {
+            node: [[deque() for _ in range(vcs)] for _ in range(_NUM_PORTS)]
             for node in coords}
-        # precomputed (node, dest) -> out port and
-        # (node, out port) -> (neighbor, its entry port)
-        self._route: Dict[Coord, Dict[Coord, int]] = {}
-        self._hop: Dict[Coord, List[Optional[Tuple[Coord, int]]]] = {}
-        for node in coords:
-            self._route[node] = {dest: self._next_hop(node, dest)
-                                 for dest in coords}
-            hops: List[Optional[Tuple[Coord, int]]] = [None] * _NUM_PORTS
-            for out in (_NORTH, _SOUTH, _EAST, _WEST):
-                neighbor = self._neighbor(node, out)
-                if 0 <= neighbor[0] < rows and 0 <= neighbor[1] < cols:
-                    hops[out] = (neighbor, _ENTRY[out])
-            self._hop[node] = hops
-        # flat per-node queue aliases for the arbiter's hot loops (the
-        # deque objects are created once and only ever mutated, so the
-        # aliases stay valid): VC-0 queues for the single-VC fast path,
-        # and all queues in port-major order for the general scan
-        self._q0: Dict[Coord, Tuple[Deque[Packet], ...]] = {
-            node: tuple(port.queues[0] for port in self.ports[node])
-            for node in coords}
-        self._qall: Dict[Coord, Tuple[Deque[Packet], ...]] = {
-            node: tuple(q for port in self.ports[node] for q in port.queues)
-            for node in coords}
+        self._route, self._hop = _routing_tables(rows, cols)
         # output serialization: per node, per out port, busy-until per lane
         self._busy: Dict[Coord, List[List[int]]] = {
             node: [[0] * lanes for _ in range(_NUM_PORTS)] for node in coords}
@@ -145,39 +150,51 @@ class WormholeMesh:
             node: [0] * _NUM_PORTS for node in coords}
         self._delivery: Dict[Coord, List[Packet]] = {
             node: [] for node in coords}
+        # flat per-node queue aliases for the arbiters' hot loops (the
+        # deque objects are created once and only ever mutated, so the
+        # aliases stay valid): VC-0 queues and, per out port, the VC-0
+        # FIFO a move through it fills (None for the local port and off
+        # the edge) for the single-VC step; all queues in port-major
+        # order for the general one
+        q0 = {node: tuple(port[0] for port in self.ports[node])
+              for node in coords}
         # one-lookup arbiter context: everything the per-node grant loop
-        # needs, fetched with a single coord hash instead of five
+        # needs, fetched with a single coord hash instead of six
         self._ctx: Dict[Coord, tuple] = {
-            node: (self._q0[node], self._qall[node], self._route[node],
-                   self._busy[node], self._rr[node], self._hop[node])
+            node: (q0[node],
+                   tuple(q for port in self.ports[node] for q in port),
+                   self._route[node], self._busy[node], self._rr[node],
+                   self._hop[node],
+                   tuple(None if hop is None else q0[hop[0]][hop[1]]
+                         for hop in self._hop[node]))
             for node in coords}
-        #: single-VC single-lane meshes (the OPN) take a specialized
-        #: arbitration loop on the fast path
-        self._simple = vcs == 1 and lanes == 1
         self._depth = queue_depth
         #: nodes holding at least one queued packet (the active set) and
         #: their total queued-packet counts
-        self._active: Set[Coord] = set()
+        self.active: Set[Coord] = set()
         self._occupancy: Dict[Coord, int] = {node: 0 for node in coords}
         #: nodes with packets awaiting :meth:`take_delivered`
         self.delivery_pending: Set[Coord] = set()
         self.stats = MeshStats()
         #: optional :class:`repro.telemetry.recorder.MeshTelemetry` sink
         self.telemetry = None
+        if active_set and vcs == 1 and lanes == 1:
+            # the OPN's shape gets its own arbiter (see _step_single)
+            self.step = self._step_single
 
     # ------------------------------------------------------------------
     def inject(self, node: Coord, packet: Packet) -> bool:
         """Offer a packet to ``node``'s local input; False if it is full."""
-        port = self.ports[node][_LOCAL]
-        if not port.has_space(packet.vc):
+        queue = self.ports[node][_LOCAL][packet.vc]
+        if len(queue) >= self._depth:
             self.stats.inject_stalls += 1
             return False
         packet.injected = self.cycle_count
         if packet.created < 0:
             packet.created = self.cycle_count
-        port.queues[packet.vc].append(packet)
+        queue.append(packet)
         self._occupancy[node] += 1
-        self._active.add(node)
+        self.active.add(node)
         self.stats.injected += 1
         if self.telemetry is not None:
             self.telemetry.note_depth(node, self.cycle_count,
@@ -200,33 +217,117 @@ class WormholeMesh:
         (busy output lanes only ever gate *queued* packets, so they carry
         no future effect once the mesh drains).
         """
-        return not self._active and not self.delivery_pending
+        return not self.active and not self.delivery_pending
 
     def fast_forward(self, cycle: int) -> None:
         """Advance the clock over a stretch with no queued packets."""
         self.cycle_count = cycle
 
     # ------------------------------------------------------------------
-    def _next_hop(self, at: Coord, dest: Coord) -> int:
-        row, col = at
-        if row != dest[0]:
-            return _SOUTH if dest[0] > row else _NORTH
-        if col != dest[1]:
-            return _EAST if dest[1] > col else _WEST
-        return _LOCAL   # at destination: eject
+    def _step_single(self) -> None:
+        """:meth:`step` of an active-set mesh with one VC and one lane per
+        output port (the OPN).
 
-    @staticmethod
-    def _neighbor(node: Coord, out_port: int) -> Coord:
-        row, col = node
-        return {(_NORTH): (row - 1, col), _SOUTH: (row + 1, col),
-                _EAST: (row, col + 1), _WEST: (row, col - 1)}[out_port]
-
-    # ------------------------------------------------------------------
-    def step(self) -> None:
-        """Advance the network one cycle (active routers only)."""
+        Each input is one FIFO whose head requests exactly one out port,
+        and each out port has one lane, so no queue can be granted twice:
+        the general arbiter's granted-queue bookkeeping and lane loop never
+        fire.  What is left makes the same grants in the same order —
+        routers in row-major order, out ports in order of first request,
+        round-robin among a port's requesters — including the busy-link
+        check that serializes multi-flit packets.
+        """
         now = self.cycle_count
-        active = self._active
-        if self.active_set:
+        active = self.active
+        if not active:
+            self.cycle_count = now + 1
+            return
+        # row-major visit order (a one-node set needs no sort)
+        nodes = tuple(active) if len(active) == 1 else sorted(active)
+        occupancy = self._occupancy
+        ctx_map = self._ctx
+        depth = self._depth
+        moves: List[tuple] = []
+        append_move = moves.append
+        lbc = 0                     # link_busy_cycles, folded in once
+        for node in nodes:
+            q0s, _qall, route, node_busy, node_rr, node_hop, node_down = \
+                ctx_map[node]
+            if occupancy[node] == 1:
+                for queue in q0s:
+                    if queue:
+                        break
+                requests = None
+                out = route[queue[0].dest]
+            else:
+                requests = [(route[q[0].dest], q) for q in q0s if q]
+                if len(requests) == 1:
+                    (out, queue), = requests
+                    requests = None
+            if requests is None:
+                # one requesting FIFO: granted unless its link is busy or
+                # the downstream FIFO is full (rr := (rr + 0 + 1) % 1)
+                busy = node_busy[out]
+                if busy[0] > now:
+                    continue
+                packet = queue[0]
+                if out == _LOCAL:
+                    append_move((node, queue, packet, node, None))
+                else:
+                    neighbor = node_hop[out][0]
+                    if neighbor == packet.dest:
+                        append_move((node, queue, packet, neighbor, None))
+                    else:
+                        into = node_down[out]
+                        if len(into) >= depth:
+                            continue
+                        append_move((node, queue, packet, neighbor, into))
+                busy[0] = now + packet.flits
+                lbc += packet.flits
+                node_rr[out] = 0
+                continue
+            by_out: Dict[int, List[Deque[Packet]]] = {}
+            for out, queue in requests:
+                bucket = by_out.get(out)
+                if bucket is None:
+                    by_out[out] = [queue]
+                else:
+                    bucket.append(queue)
+            for out, queues in by_out.items():
+                busy = node_busy[out]
+                if busy[0] > now:
+                    continue
+                start = node_rr[out]
+                nq = len(queues)
+                for k in range(nq):
+                    queue = queues[(start + k) % nq]
+                    packet = queue[0]
+                    if out == _LOCAL:
+                        append_move((node, queue, packet, node, None))
+                    else:
+                        neighbor = node_hop[out][0]
+                        if neighbor == packet.dest:
+                            append_move((node, queue, packet, neighbor,
+                                         None))
+                        else:
+                            into = node_down[out]
+                            if len(into) >= depth:
+                                continue
+                            append_move((node, queue, packet, neighbor,
+                                         into))
+                    busy[0] = now + packet.flits
+                    lbc += packet.flits
+                    node_rr[out] = (start + k + 1) % nq
+                    break
+        self._advance(now, moves, lbc)
+
+    def step(self) -> None:
+        """Advance the network one cycle: the active routers only, or —
+        with ``active_set=False`` — every router, the full scan.  Meshes
+        of the OPN's shape step through :meth:`_step_single` instead."""
+        now = self.cycle_count
+        active = self.active
+        lone_shortcut = self.active_set
+        if lone_shortcut:
             if not active:
                 self.cycle_count = now + 1
                 return
@@ -236,78 +337,17 @@ class WormholeMesh:
         else:
             nodes = self._coords
         ports = self.ports
-        stats = self.stats
         occupancy = self._occupancy
-        moves: List[Tuple[Coord, Deque[Packet], Packet, Coord, int]] = []
+        moves: List[tuple] = []
         append_move = moves.append
         granted_queues: Set[int] = set()
-        use_single = self.active_set
-        use_simple = use_single and self._simple
         depth = self._depth
         ctx_map = self._ctx
-        q0_map = self._q0
-        lbc = 0                     # link_busy_cycles, folded in once below
+        lbc = 0                     # link_busy_cycles, folded in once
         for node in nodes:
-            q0s, qall, route, node_busy, node_rr, node_hop = ctx_map[node]
-            if use_simple and occupancy[node] > 1:
-                # Single-VC, single-lane router (the OPN): each queue
-                # requests exactly one out port and each out port has one
-                # lane, so no queue can be granted twice — the
-                # granted_queues bookkeeping and the lane loop of the
-                # general arbiter below provably never fire.
-                reqs = [(route[q[0].dest], q) for q in q0s if q]
-                if len(reqs) == 1:
-                    # every packet sits in one input FIFO: a lone request,
-                    # granted unless the link is busy or downstream full
-                    # (rr := (rr + 0 + 1) % 1 == 0 on a grant)
-                    out, queue = reqs[0]
-                    busy = node_busy[out]
-                    if busy[0] <= now:
-                        packet = queue[0]
-                        if out == _LOCAL:
-                            append_move((node, queue, packet, node, -1))
-                        else:
-                            neighbor, entry = node_hop[out]
-                            if neighbor != packet.dest and \
-                                    len(q0_map[neighbor][entry]) >= depth:
-                                continue
-                            append_move((node, queue, packet, neighbor,
-                                         entry))
-                        busy[0] = now + packet.flits
-                        lbc += packet.flits
-                        node_rr[out] = 0
-                    continue
-                requests_s: Dict[int, List[Deque[Packet]]] = {}
-                for out, queue in reqs:
-                    bucket = requests_s.get(out)
-                    if bucket is None:
-                        requests_s[out] = [queue]
-                    else:
-                        bucket.append(queue)
-                for out, queues in requests_s.items():
-                    busy = node_busy[out]
-                    if busy[0] > now:
-                        continue
-                    start = node_rr[out]
-                    nq = len(queues)
-                    for k in range(nq):
-                        queue = queues[(start + k) % nq]
-                        packet = queue[0]
-                        if out == _LOCAL:
-                            append_move((node, queue, packet, node, -1))
-                        else:
-                            neighbor, entry = node_hop[out]
-                            if neighbor != packet.dest and \
-                                    len(q0_map[neighbor][entry]) >= depth:
-                                continue
-                            append_move((node, queue, packet, neighbor,
-                                         entry))
-                        busy[0] = now + packet.flits
-                        lbc += packet.flits
-                        node_rr[out] = (start + k + 1) % nq
-                        break
-                continue
-            if use_single and occupancy[node] == 1:
+            _q0s, qall, route, node_busy, node_rr, node_hop, _down = \
+                ctx_map[node]
+            if lone_shortcut and occupancy[node] == 1:
                 # Lone packet at this router: the arbitration below reduces
                 # to "grant the head packet the first free lane of its out
                 # port, unless the downstream FIFO is full" — same result,
@@ -322,14 +362,16 @@ class WormholeMesh:
                     if busy_until > now:
                         continue
                     if out == _LOCAL:
-                        append_move((node, queue, packet, node, -1))
+                        append_move((node, queue, packet, node, None))
                     else:
                         neighbor, entry = node_hop[out]
-                        if neighbor != packet.dest and \
-                                not ports[neighbor][entry].has_space(
-                                    packet.vc):
-                            break       # blocked on every lane alike
-                        append_move((node, queue, packet, neighbor, entry))
+                        if neighbor == packet.dest:
+                            into = None
+                        else:
+                            into = ports[neighbor][entry][packet.vc]
+                            if len(into) >= depth:
+                                break   # blocked on every lane alike
+                        append_move((node, queue, packet, neighbor, into))
                     lanes[lane_idx] = now + packet.flits
                     lbc += packet.flits
                     node_rr[out] = 0   # == (rr + 1) % 1
@@ -360,33 +402,45 @@ class WormholeMesh:
                             continue
                         packet = queue[0]
                         if out == _LOCAL:
-                            append_move((node, queue, packet, node, -1))
+                            append_move((node, queue, packet, node, None))
                         else:
                             neighbor, entry = node_hop[out]
-                            if neighbor != packet.dest and \
-                                    not ports[neighbor][entry].has_space(
-                                        packet.vc):
-                                continue
+                            if neighbor == packet.dest:
+                                into = None
+                            else:
+                                into = ports[neighbor][entry][packet.vc]
+                                if len(into) >= depth:
+                                    continue
                             append_move((node, queue, packet, neighbor,
-                                         entry))
+                                         into))
                         lanes[lane_idx] = now + packet.flits
                         lbc += packet.flits
                         node_rr[out] = (start + k + 1) % nq
                         granted_queues.add(id(queue))
                         granted += 1
                         break
-        stats.link_busy_cycles += lbc
+        self._advance(now, moves, lbc)
+
+    def _advance(self, now: int, moves: list, lbc: int) -> None:
+        """Apply one cycle's granted moves and end the cycle.  Every grant
+        was decided against the queues as they stood at the start of the
+        cycle; a move is ``(node, queue, packet, target, into)``, where
+        ``target`` is ``node`` itself for a local ejection and ``into`` is
+        the next router's FIFO, or None when the move delivers."""
+        self.stats.link_busy_cycles += lbc
+        occupancy = self._occupancy
+        active = self.active
         delivery = self._delivery
         delivery_pending = self.delivery_pending
         n_delivered = total_hops = total_qc = 0
-        for node, queue, packet, target, entry in moves:
+        for node, queue, packet, target, into in moves:
             queue.popleft()
             occupancy[node] -= 1
             if not occupancy[node]:
                 active.discard(node)
-            if entry >= 0:
+            if target is not node:
                 packet.hops += 1
-            if entry < 0 or target == packet.dest:
+            if into is None:
                 # Arrival at the destination router delivers in the same
                 # cycle as the final hop: the control header launched one
                 # cycle ahead (Section 3) already did wakeup, so ejection
@@ -403,17 +457,18 @@ class WormholeMesh:
                 total_hops += packet.hops
                 total_qc += packet.qcycles
             else:
-                ports[target][entry].queues[packet.vc].append(packet)
+                into.append(packet)
                 occupancy[target] += 1
                 active.add(target)
         if n_delivered:
+            stats = self.stats
             stats.delivered += n_delivered
             stats.total_hops += total_hops
             stats.total_queue_cycles += total_qc
         tel = self.telemetry
         if tel is not None and moves:
-            for node, _queue, packet, target, entry in moves:
-                if entry < 0:
+            for node, _queue, packet, target, into in moves:
+                if target is node:
                     direction = "eject"
                 else:
                     dr = target[0] - node[0]
@@ -421,6 +476,6 @@ class WormholeMesh:
                         ("E" if target[1] > node[1] else "W")
                 tel.note_link(node, direction, packet.flits)
                 tel.note_depth(node, now + 1, occupancy[node])
-                if entry >= 0 and target != packet.dest:
+                if into is not None:
                     tel.note_depth(target, now + 1, occupancy[target])
         self.cycle_count = now + 1

@@ -1,9 +1,10 @@
 """The watch dashboard: folding events into frames, CLI behaviour."""
 
 import io
+import json
 
 from repro.metrics import EventLog
-from repro.metrics.events import read_events
+from repro.metrics.events import SCHEMA, read_events
 from repro.metrics.watch import frame_state, render_frame, watch
 
 
@@ -83,6 +84,41 @@ class TestFrameState:
         assert state["timeouts"] == 1
         assert state["crashes"] == 1
         assert state["failed"] == 1
+
+
+    def test_a_faulted_worker_is_not_left_running(self, tmp_path):
+        # two workers; crash-once dies on pid 11 and its retry runs on a
+        # third, fresh worker (pid 13): only the parent (pid 1) logs the
+        # crash, so pid 11 never writes a finish of its own
+        path = tmp_path / "events.jsonl"
+        records = [
+            (1, "sweep_begin", {"jobs": 2, "workers": 2}),
+            (1, "submit", {"key": "c", "label": "selftest:crash-once",
+                           "kind": "selftest"}),
+            (1, "submit", {"key": "e", "label": "selftest:echo",
+                           "kind": "selftest"}),
+            (1, "queued", {"key": "c"}), (1, "queued", {"key": "e"}),
+            (11, "start", {"key": "c"}), (12, "start", {"key": "e"}),
+            (12, "finish", {"key": "e", "elapsed_s": 0.1}),
+            (1, "retry", {"key": "c", "cause": "crash"}),
+            (1, "queued", {"key": "c"}),
+            (13, "start", {"key": "c"}),
+            (13, "finish", {"key": "c", "elapsed_s": 0.1}),
+            (1, "sweep_end", {"jobs": 2, "done": 2, "cache_hits": 0,
+                              "retries": 1, "failed": 0, "elapsed_s": 0.5}),
+        ]
+        path.write_text("".join(
+            json.dumps({"schema": SCHEMA, "ts": 1000.0 + i, "event": event,
+                        "pid": pid, **fields}) + "\n"
+            for i, (pid, event, fields) in enumerate(records)))
+        state = frame_state(list(read_events(path)))
+        assert state["sweep_done"] is True
+        assert state["running"] == []
+        assert sorted(state["workers"]) == [11, 12, 13]
+        out = io.StringIO()
+        assert watch(path, once=True, out=out) == 0
+        assert "0 running" in out.getvalue()
+        assert "1 running" not in out.getvalue()
 
 
 class TestRender:

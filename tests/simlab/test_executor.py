@@ -4,9 +4,18 @@ flag file on its first attempt so the retry deterministically succeeds.
 """
 
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import threading
+import time
+from contextlib import suppress
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.metrics import FleetMetrics
 from repro.metrics.events import read_events
@@ -216,6 +225,84 @@ class TestFaultAttribution:
         worker = str(info.value.__cause__)       # the worker's traceback
         assert "Traceback (most recent call last)" in worker
         assert "in _selftest" in worker
+
+
+_KILLED_SWEEP = """
+import multiprocessing
+import sys
+
+from repro.metrics import FleetMetrics
+from repro.metrics.events import EventLog
+from repro.simlab import RunSpec, run_specs
+
+if __name__ == "__main__":
+    method, flag, log = sys.argv[1:]
+    multiprocessing.set_start_method(method)
+    run_specs([RunSpec.selftest("hang-once:" + flag),
+               RunSpec.selftest("echo:x")],
+              workers=2, metrics=FleetMetrics(events=EventLog(log)))
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` still runs (an exited process whose new parent does
+    not reap it lingers as a zombie, which counts as gone)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+class TestOrphanedWorkers:
+    """A sweep process killed outright leaves no idle worker behind."""
+
+    @pytest.mark.parametrize("method", ["fork", "spawn", "forkserver"])
+    def test_idle_worker_exits_after_the_sweep_is_killed(self, tmp_path,
+                                                          method):
+        script = tmp_path / "sweep.py"
+        script.write_text(_KILLED_SWEEP)
+        flag, log = tmp_path / "hang.flag", tmp_path / "events.jsonl"
+        hang = RunSpec.selftest(f"hang-once:{flag}")
+        echo = RunSpec.selftest("echo:x")
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        sweep = subprocess.Popen(
+            [sys.executable, str(script), method, str(flag), str(log)],
+            env=env)
+        starts = {}
+        try:
+            deadline = time.monotonic() + 60
+            while time.monotonic() < deadline:
+                events = list(read_events(log)) if log.exists() else []
+                starts = {e["key"]: e["pid"] for e in events
+                          if e["event"] == "start"}
+                if len(starts) == 2 and any(
+                        e["event"] == "finish" and e["key"] == echo.key
+                        for e in events):
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail(f"the sweep never reached its hang: {starts}")
+            sweep.kill()
+            sweep.wait(timeout=10)
+            idle = starts[echo.key]
+            gone_by = time.monotonic() + 10
+            while _running(idle) and time.monotonic() < gone_by:
+                time.sleep(0.05)
+            assert not _running(idle), \
+                f"idle worker {idle} outlived the killed sweep"
+        finally:
+            sweep.kill()
+            sweep.wait(timeout=10)
+            if hang.key in starts:      # the hung worker sleeps on
+                with suppress(ProcessLookupError):
+                    os.kill(starts[hang.key], signal.SIGKILL)
 
 
 class TestValidation:

@@ -156,3 +156,17 @@ class TestConservation:
         assert sent == 10 and len(got) == 10
         assert mesh.stats.delivered == mesh.stats.injected == 10
         assert mesh.stats.total_hops == 10 * 8
+
+
+class TestRoutingTables:
+    def test_one_shape_shares_its_tables(self):
+        a, b = WormholeMesh(5, 5), WormholeMesh(5, 5, vcs=2, lanes=2)
+        ocn = WormholeMesh(4, 10)
+        assert a._route is b._route and a._hop is b._hop
+        assert ocn._route is not a._route and ocn._hop is not a._hop
+        # the per-instance state is not shared
+        assert a.ports[(0, 0)] is not b.ports[(0, 0)]
+        assert a._busy is not b._busy and a._rr is not b._rr
+        assert a._occupancy is not b._occupancy
+        a.inject((0, 0), Packet(src=(0, 0), dest=(4, 4)))
+        assert b.is_idle() and not a.is_idle()
