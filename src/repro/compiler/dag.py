@@ -128,11 +128,8 @@ def target_capacity(node: DNode) -> int:
     """How many consumers this producer can feed without fanout movs."""
     if node.kind == "read":
         return 2
-    if node.opcode is None:
-        return 0
-    from ..isa.opcodes import Format
-    return {Format.G: 2, Format.I: 1, Format.L: 1,
-            Format.S: 0, Format.B: 1, Format.C: 1}[node.opcode.format]
+    opcode = node.opcode
+    return 0 if opcode is None else opcode.max_targets
 
 
 # ----------------------------------------------------------------------
@@ -278,8 +275,7 @@ class BlockDag:
         if node.bits is not None:
             return self.const(1 if node.bits & MASK64 else 0)
         if node.opcode is not None:
-            info = node.opcode.value
-            if info.opclass is OpClass.TEST or \
+            if node.opcode.opclass is OpClass.TEST or \
                     node.opcode in _BOOL_FP_OPS:
                 return node
         return self._cse_op(Opcode.TNEI, (node,), imm=0)

@@ -11,7 +11,9 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..isa import (
+    Format,
     Instruction,
+    OpClass,
     Opcode,
     OperandKind,
     ReadInstruction,
@@ -22,7 +24,7 @@ from ..isa import (
 )
 from .cfg import CompileError
 from .dag import BlockDag, DNode, _resolve, target_capacity
-from .schedule import GT_POS, Scheduler, dist, et_pos, rt_pos
+from .schedule import GT_POS, Scheduler, rt_pos
 
 #: endpoint ports for data/pred operands.
 _PORT_KIND = {0: OperandKind.LEFT, 1: OperandKind.RIGHT,
@@ -134,7 +136,7 @@ def _clone_hot_producers(dag: BlockDag, live: Set[int],
                 and node.opcode is not None
                 and not node.opcode.is_memory
                 and not node.opcode.is_branch
-                and node.opcode.opclass.value != "null"
+                and node.opcode.opclass is not OpClass.NULLIFY
                 and node.pred is None
                 and node.opcode.latency <= 1)
 
@@ -331,7 +333,6 @@ def _emit(node: DNode, endpoints, slots, write_slots) -> Instruction:
     kwargs = {}
     if node.opcode is None:
         raise CompileError(f"cannot emit node kind {node.kind}")
-    from ..isa.opcodes import Format
     fmt = node.opcode.format
     if fmt is Format.I:
         kwargs["imm"] = node.imm

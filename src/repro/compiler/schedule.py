@@ -42,6 +42,23 @@ def dist(a: Tuple[int, int], b: Tuple[int, int]) -> int:
     return abs(a[0] - b[0]) + abs(a[1] - b[1])
 
 
+#: grid position -> its OPN hop distance to each of the 16 ETs, in ET order
+HOPS: Dict[Tuple[int, int], Tuple[int, ...]] = {
+    (row, col): tuple(dist((row, col), et_pos(et)) for et in range(NUM_ETS))
+    for row in range(5) for col in range(5)}
+_NO_HOPS = (0,) * NUM_ETS
+_ET_POS = tuple(et_pos(et) for et in range(NUM_ETS))
+_FULL = float("inf")
+
+
+def _hop_sums(positions) -> Tuple[int, ...]:
+    """Per ET, the total hop distance from ``positions`` to it."""
+    rows = [HOPS[p] for p in positions]
+    if len(rows) > 1:
+        return tuple(map(sum, zip(*rows)))
+    return rows[0] if rows else _NO_HOPS
+
+
 class Scheduler:
     """Greedy placement of one block's body nodes."""
 
@@ -63,30 +80,27 @@ class Scheduler:
         order = self._topo_order(nodes)
         slots: Dict[int, int] = {}
         positions: Dict[int, Tuple[int, int]] = {}
+        counts = self.station_count
+        sink_weight = self.SINK_WEIGHT
+        occupancy_weight = self.OCCUPANCY_WEIGHT
         for node in order:
-            best_et = None
-            best_cost = None
-            prod_positions = [p for p in producers_of(node, positions)
-                              if p is not None]
-            sink_positions = list(sinks_of(node))
-            for et in range(NUM_ETS):
-                if self.station_count[et] >= STATIONS_PER_ET:
-                    continue
-                pos = et_pos(et)
-                cost = float(sum(dist(p, pos) for p in prod_positions))
-                cost += self.SINK_WEIGHT * sum(
-                    dist(pos, s) for s in sink_positions)
-                cost += self.OCCUPANCY_WEIGHT * self.station_count[et]
-                if best_cost is None or cost < best_cost:
-                    best_cost = cost
-                    best_et = et
-            if best_et is None:
+            # cost per ET: float(producer hops), then + sink hops, then +
+            # occupancy, in that order; the first cheapest ET wins a tie
+            prod = _hop_sums([p for p in producers_of(node, positions)
+                              if p is not None])
+            sink = _hop_sums(sinks_of(node))
+            costs = [float(hops) + sink_weight * sink_hops
+                     + occupancy_weight * count
+                     if count < STATIONS_PER_ET else _FULL
+                     for hops, sink_hops, count in zip(prod, sink, counts)]
+            best_cost = min(costs)
+            if best_cost == _FULL:
                 raise CompileError("block exceeds 128 reservation stations")
-            station = self.station_count[best_et]
-            self.station_count[best_et] += 1
-            slot = station * NUM_ETS + best_et
-            slots[node.uid] = slot
-            positions[node.uid] = et_pos(best_et)
+            best_et = costs.index(best_cost)
+            station = counts[best_et]
+            counts[best_et] += 1
+            slots[node.uid] = station * NUM_ETS + best_et
+            positions[node.uid] = _ET_POS[best_et]
         return slots
 
     @staticmethod

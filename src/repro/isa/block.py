@@ -32,6 +32,7 @@ The header's binary layout (1024 bits, little-endian bit numbering)::
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -50,6 +51,10 @@ NUM_ARCH_REGS = 128
 
 #: Block execution-mode flags (header byte 4).
 FLAG_DEFAULT = 0
+
+#: the type bits of a left / right operand port's target encoding
+_LEFT = OperandKind.LEFT.type_bits
+_RIGHT = OperandKind.RIGHT.type_bits
 
 
 class BlockError(ValueError):
@@ -227,19 +232,20 @@ class TripsBlock:
         producers may sit on complementary paths (a predicated merge), in
         which case the port always receives a value.
         """
-        port_suppliers: Dict[tuple, List[int]] = {}
+        # keyed by the port's nine-bit target encoding (kind | slot)
+        port_suppliers: Dict[int, List[int]] = {}
         for slot, inst in self.body.items():
             for tgt in inst.targets:
                 if tgt.kind is not OperandKind.WRITE:
                     port_suppliers.setdefault(
-                        (tgt.slot, tgt.kind), []).append(slot)
+                        tgt.encode(), []).append(slot)
         for read in self.reads.values():
             for tgt in read.targets:
                 if tgt.kind is not OperandKind.WRITE:
                     # reads always fire: mark the port multi-supplied so it
                     # never transfers guardedness
                     port_suppliers.setdefault(
-                        (tgt.slot, tgt.kind), []).extend((-1, -1))
+                        tgt.encode(), []).extend((-1, -1))
         guarded = {slot for slot, inst in self.body.items()
                    if inst.pred is not None}
         changed = True
@@ -248,8 +254,8 @@ class TripsBlock:
             for slot, inst in self.body.items():
                 if slot in guarded:
                     continue
-                for kind in (OperandKind.LEFT, OperandKind.RIGHT):
-                    suppliers = port_suppliers.get((slot, kind), ())
+                for port in (_LEFT | slot, _RIGHT | slot):
+                    suppliers = port_suppliers.get(port, ())
                     if len(suppliers) == 1 and suppliers[0] in guarded:
                         guarded.add(slot)
                         changed = True
@@ -342,16 +348,14 @@ class TripsBlock:
         """Full binary image: header + body chunks, NOP-padded with zeros.
 
         Empty body slots encode as the all-ones word, which is not a valid
-        instruction and is skipped by :meth:`decode`.
+        instruction and is skipped by :meth:`decode`.  This only packs:
+        :meth:`Program.memory_image` validates each block once before it
+        encodes it.
         """
-        self.validate()
-        out = bytearray(self.encode_header())
-        nchunks = self.num_body_chunks
-        for slot in range(nchunks * 32):
-            inst = self.body.get(slot)
-            word = inst.encode() if inst is not None else 0xFFFFFFFF
-            out += word.to_bytes(4, "little")
-        return bytes(out)
+        words = [0xFFFFFFFF] * (self.num_body_chunks * 32)
+        for slot, inst in self.body.items():
+            words[slot] = inst.encode()
+        return self.encode_header() + struct.pack(f"<{len(words)}I", *words)
 
     @classmethod
     def decode(cls, data: bytes) -> "TripsBlock":

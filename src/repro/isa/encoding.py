@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from .opcodes import BY_MNEMONIC, DECODING, ENCODING, Format, Opcode
+from .opcodes import BY_MNEMONIC, DECODING, Format, Opcode
 from .targets import NO_TARGET_BITS, Target, decode_optional, encode_optional
 
 # Field widths.
@@ -80,14 +80,7 @@ class Instruction:
     def validate(self) -> None:
         """Raise :class:`EncodingError` if any field is out of range."""
         fmt = self.opcode.format
-        max_targets = {
-            Format.G: 2, Format.I: 1, Format.L: 1,
-            Format.S: 0, Format.B: 1, Format.C: 1,
-        }[fmt]
-        # Branch instructions deliver their next-block address to the GT via
-        # the OPN rather than via an encoded target; CALLO additionally may
-        # target a write slot with the return address, which is why B allows
-        # one target.
+        max_targets = self.opcode.max_targets
         if len(self.targets) > max_targets:
             raise EncodingError(
                 f"{self.opcode.mnemonic}: {len(self.targets)} targets, "
@@ -120,9 +113,14 @@ class Instruction:
         return self.targets[index] if index < len(self.targets) else None
 
     def encode(self) -> int:
-        """Pack this instruction into its 32-bit word."""
-        self.validate()
-        op = ENCODING[self.opcode] << 25
+        """Pack this instruction into its 32-bit word.
+
+        The fields were range-checked by :meth:`validate` when the
+        instruction was built; whoever changes a field afterwards
+        re-validates it (:meth:`ProgramBuilder.finish` does, for the
+        branch offsets it resolves).
+        """
+        op = self.opcode.code << 25
         fmt = self.opcode.format
         pr = self.pr_bits << 23
         if fmt is Format.G:

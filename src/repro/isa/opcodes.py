@@ -65,7 +65,8 @@ class Opcode(enum.Enum):
     """All opcodes understood by the assembler, compiler and simulator.
 
     The value of each member is its :class:`OpInfo`.  Integer encodings are
-    assigned deterministically by declaration order (see :data:`ENCODING`).
+    assigned deterministically by declaration order (each member's
+    ``code``; :data:`DECODING` maps them back).
     """
 
     # --- integer arithmetic (G format: two operands) ---------------------
@@ -153,11 +154,12 @@ class Opcode(enum.Enum):
     HALT = OpInfo("halt", Format.B, OpClass.BRANCH, 1, 0)  # stop simulation
 
     # Static properties (info, mnemonic, opclass, latency, num_operands,
-    # is_load/is_store/is_memory/is_branch, uses_fpu, format, completion,
-    # access_size, sign_extends) are attached as plain member attributes
-    # below: Enum's ``.value`` goes through a DynamicClassAttribute
-    # descriptor on every access, which shows up in the simulator's
-    # station-wakeup and issue loops.
+    # is_load/is_store/is_memory/is_branch, uses_fpu, format, max_targets,
+    # code, completion, access_size, sign_extends) are attached as plain
+    # member attributes below: Enum's ``.value`` goes through a
+    # DynamicClassAttribute descriptor on every access, which shows up in
+    # the simulator's station-wakeup and issue loops, and a dict keyed by
+    # members pays Enum's Python-level ``__hash__`` on every lookup.
 
 
 #: ``Opcode.completion``: what an execution tile does with the result of
@@ -166,10 +168,14 @@ class Opcode(enum.Enum):
 COMPLETE_ALU, COMPLETE_NULL, COMPLETE_LOAD, COMPLETE_STORE, \
     COMPLETE_BRANCH = range(5)
 
-#: opcode -> 7-bit binary encoding, by declaration order.
-ENCODING: dict = {op: i for i, op in enumerate(Opcode)}
-#: 7-bit binary encoding -> opcode.
-DECODING: dict = {i: op for op, i in ENCODING.items()}
+#: 7-bit binary encoding -> opcode; ``Opcode.code`` is the inverse.
+DECODING: dict = dict(enumerate(Opcode))
+
+#: ``Opcode.max_targets``: how many target fields a format's word holds.
+#: A branch delivers its next-block address to the GT over the OPN, not
+#: through a target; B's one target is CALLO's optional link write.
+MAX_TARGETS = {Format.G: 2, Format.I: 1, Format.L: 1,
+               Format.S: 0, Format.B: 1, Format.C: 1}
 
 #: width of a memory access in bytes, for load/store opcodes.
 ACCESS_SIZE = {
@@ -189,11 +195,13 @@ _COMPLETION = {OpClass.NULLIFY: COMPLETE_NULL, OpClass.LOAD: COMPLETE_LOAD,
 # is then a single instance-dict lookup instead of two descriptor calls.
 # ``pipelined`` is False only for DIVS, whose unit the ET holds busy;
 # :mod:`repro.isa.alu` adds each member's ``alu`` evaluator.
-for _op in Opcode:
+for _code, _op in DECODING.items():
     _info = _op.value
     _op.info = _info
+    _op.code = _code
     _op.mnemonic = _info.mnemonic
     _op.format = _info.format
+    _op.max_targets = MAX_TARGETS[_info.format]
     _op.opclass = _info.opclass
     _op.latency = _info.latency
     _op.num_operands = _info.num_operands
@@ -206,9 +214,9 @@ for _op in Opcode:
     _op.completion = _COMPLETION.get(_info.opclass, COMPLETE_ALU)
     _op.access_size = ACCESS_SIZE.get(_op, 0)
     _op.sign_extends = _op in SIGNED_LOADS
-del _op, _info
+del _code, _op, _info
 
 #: mnemonic -> opcode, for the assembler.
 BY_MNEMONIC: dict = {op.mnemonic: op for op in Opcode}
 
-assert len(ENCODING) <= 128, "opcode field is 7 bits wide"
+assert len(DECODING) <= 128, "opcode field is 7 bits wide"

@@ -74,7 +74,9 @@ class SecondaryMemory:
         # route through
         self.nts = [NetworkTile(i) for i in range(len(self.PROC_PORTS))]
         self._responses: Dict[int, List[object]] = {}
-        self._resp_count = 0      # total queued responses across ports
+        #: total responses awaiting pickup across ports (the cores' poll
+        #: gate)
+        self.responses_waiting = 0
         # min-heap of (done_at, seq, request, mt index); the seq tiebreak
         # preserves issue order among same-cycle completions, which is all
         # the fast-forward logic ever lets fall due together
@@ -142,12 +144,12 @@ class SecondaryMemory:
         out = self._responses.get(port, [])
         if out:
             self._responses[port] = []
-            self._resp_count -= len(out)
+            self.responses_waiting -= len(out)
         return out
 
     def has_responses(self) -> bool:
         """Any response awaiting pickup on any port (cheap poll gate)."""
-        return self._resp_count > 0
+        return self.responses_waiting > 0
 
     def next_work_t(self) -> Optional[int]:
         """Earliest cycle >= ``self.cycle`` with memory-system activity.
@@ -158,7 +160,7 @@ class SecondaryMemory:
         fast-forward straight to the next memory event instead of
         stepping an empty OCN.
         """
-        if self._parked or self._resp_count or not self.ocn.is_idle():
+        if self._parked or self.responses_waiting or not self.ocn.is_idle():
             return self.cycle
         if self._pending_dram:
             return self._pending_dram[0][0]
@@ -176,7 +178,23 @@ class SecondaryMemory:
             self._parked.append((src, packet))
 
     def step(self) -> None:
-        """Advance the memory system one cycle."""
+        """Advance the memory system one cycle.
+
+        On the fast engine, a cycle with nothing to move — no packet
+        parked, queued in the OCN or awaiting pickup there, and no
+        bank/DRAM completion due — only advances the memory system's and
+        the OCN's clocks, as stepping it would; :meth:`request` and OCN
+        injection stamp ``issued``/``injected`` from them.  The full-scan
+        engine steps every cycle.
+        """
+        ocn = self.ocn
+        if self.config.fast_path and not self._parked and not ocn.active \
+                and not ocn.delivery_pending and not (
+                    self._pending_dram
+                    and self._pending_dram[0][0] <= self.cycle):
+            self.cycle += 1
+            ocn.fast_forward(self.cycle)
+            return
         parked, self._parked = self._parked, []
         for src, packet in parked:
             self._inject_retry(src, packet)
@@ -219,7 +237,7 @@ class SecondaryMemory:
                 for packet in take(coord):
                     kind, req, _ = packet.payload
                     self._responses.setdefault(req.port, []).append(req.meta)
-                    self._resp_count += 1
+                    self.responses_waiting += 1
         if self.telemetry is not None:
             self.telemetry.note_inflight(self.cycle, len(self._pending_dram))
         self.ocn.step()

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import struct
+import sys
+from array import array
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 MASK64 = (1 << 64) - 1
 
@@ -41,6 +43,12 @@ def bits_to_float(bits: int) -> float:
 DTYPE_SIZE = {"i8": 1, "u8": 1, "i16": 2, "u16": 2, "i32": 4, "u32": 4,
               "i64": 8, "u64": 8, "f64": 8}
 SIGNED_DTYPES = {"i8", "i16", "i32", "i64"}
+
+#: element size -> (unsigned, signed) ``array`` typecodes of that size
+_TYPECODES: Dict[int, Tuple[str, str]] = {}
+for _code in "BbHhIiLlQq":
+    _TYPECODES.setdefault(array(_code).itemsize, (_code, _code.lower()))
+del _code
 
 
 # ----------------------------------------------------------------------
@@ -245,14 +253,39 @@ class Array:
         return len(self.data) * self.elem_size
 
     def encode(self) -> bytes:
-        """Initial contents as little-endian bytes."""
-        out = bytearray()
-        for value in self.data:
-            bits = float_to_bits(value) if self.dtype == "f64" and \
-                isinstance(value, float) else int_to_bits(int(value))
-            out += (bits & ((1 << (8 * self.elem_size)) - 1)).to_bytes(
-                self.elem_size, "little")
-        return bytes(out)
+        """Initial contents as little-endian bytes, packed in one call.
+
+        An int element is a raw pattern and keeps its low ``elem_size``
+        bytes (``-1`` and ``255`` both encode as ``ff`` in a ``u8``
+        array); in an ``f64`` array a float is stored as its IEEE-754
+        bits.  The packed array is the only buffer built besides the
+        result.
+        """
+        data = self.data
+        size = self.elem_size
+        if self.dtype == "f64" and all(
+                issubclass(kind, float) for kind in set(map(type, data))):
+            packed = array("d", data)
+        else:
+            unsigned, signed = _TYPECODES[size]
+            packed = None
+            for code in ((signed, unsigned) if self.signed
+                         else (unsigned, signed)):
+                try:
+                    packed = array(code, data)
+                    break
+                except (OverflowError, TypeError):
+                    pass
+            if packed is None:
+                # wider than an element, both signs past half range, or
+                # floats among the ints: reduce each to its pattern first
+                mask = (1 << (8 * size)) - 1
+                packed = array(unsigned, (
+                    (float_to_bits(v) if isinstance(v, float) and
+                     self.dtype == "f64" else int(v)) & mask for v in data))
+        if sys.byteorder == "big":
+            packed.byteswap()
+        return packed.tobytes()
 
 
 @dataclass

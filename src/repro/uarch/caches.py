@@ -20,21 +20,16 @@ class CacheBank:
         self.line_bytes = line_bytes
         self.assoc = assoc
         self.num_sets = size_bytes // (assoc * line_bytes)
-        # each set: list of line tags in LRU order (front = MRU)
+        # each set: list of line tags (address // line_bytes) in LRU
+        # order (front = MRU); a tag lives in set ``tag % num_sets``
         self._sets: List[List[int]] = [[] for _ in range(self.num_sets)]
         self.hits = 0
         self.misses = 0
 
-    def _index(self, address: int) -> int:
-        return (address // self.line_bytes) % self.num_sets
-
-    def _tag(self, address: int) -> int:
-        return address // self.line_bytes
-
     def lookup(self, address: int) -> bool:
         """Hit test; promotes the line to MRU on hit."""
-        lines = self._sets[self._index(address)]
-        tag = self._tag(address)
+        tag = address // self.line_bytes
+        lines = self._sets[tag % self.num_sets]
         if tag in lines:
             self.hits += 1
             lines.remove(tag)
@@ -45,8 +40,8 @@ class CacheBank:
 
     def fill(self, address: int) -> Optional[int]:
         """Install a line; returns the evicted line address, if any."""
-        lines = self._sets[self._index(address)]
-        tag = self._tag(address)
+        tag = address // self.line_bytes
+        lines = self._sets[tag % self.num_sets]
         if tag in lines:
             return None
         lines.insert(0, tag)

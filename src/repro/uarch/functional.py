@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Tuple
 
 from ..isa import (
     EXIT_ADDRESS,
-    ACCESS_SIZE,
     Instruction,
     NUM_ARCH_REGS,
     OpClass,
@@ -35,7 +34,6 @@ from ..isa import (
     TripsBlock,
 )
 from ..isa.alu import effective_address, execute
-from ..isa.opcodes import SIGNED_LOADS
 from ..mem.backing import BackingStore
 from ..tir.semantics import truncate_load
 
@@ -46,6 +44,11 @@ class SimError(RuntimeError):
 
 #: distinguished token payload for nullified values.
 NULL_TOKEN = object()
+
+#: the :class:`_Station` field an operand fills, by its kind's type bits
+_PORT_FIELD = {OperandKind.LEFT.type_bits: "left",
+               OperandKind.RIGHT.type_bits: "right",
+               OperandKind.PRED.type_bits: "pred"}
 
 
 @dataclass
@@ -87,11 +90,11 @@ class FunctionalSim:
     """Executes a :class:`Program` block-atomically, without timing."""
 
     def __init__(self, program: Program, max_blocks: int = 2_000_000):
-        program.validate()
+        image = program.memory_image()      # validated once per program
         self.program = program
         self.max_blocks = max_blocks
         self.memory = BackingStore()
-        self.memory.load_image(program.memory_image())
+        self.memory.load_image(image)
         self.regs: List[int] = [0] * NUM_ARCH_REGS
         for reg, value in program.initial_regs.items():
             self.regs[reg] = value & (2**64 - 1)
@@ -133,7 +136,7 @@ class FunctionalSim:
         pending_loads: List[Tuple[int, _Station]] = []
         branch_result: Optional[int] = None
 
-        worklist: List[Tuple[int, object, OperandKind]] = []
+        worklist: List[Tuple[int, object, str]] = []   # slot, token, port
 
         def deliver(target, token) -> None:
             if target.kind is OperandKind.WRITE:
@@ -145,7 +148,8 @@ class FunctionalSim:
                 if token is NULL_TOKEN:
                     self.stats.nullified_outputs += 1
                 return
-            worklist.append((target.slot, token, target.kind))
+            worklist.append((target.slot, token,
+                             _PORT_FIELD[target.kind.type_bits]))
 
         # Reads fire unconditionally at block start.
         for read in block.reads.values():
@@ -208,7 +212,7 @@ class FunctionalSim:
             else:
                 address = effective_address(inst, station.left)
                 store_buffer.append(
-                    (inst.lsid, address, ACCESS_SIZE[inst.opcode],
+                    (inst.lsid, address, inst.opcode.access_size,
                      station.right))
             # A store arrival may unblock held-back loads.
             still_waiting = []
@@ -228,11 +232,10 @@ class FunctionalSim:
                 result = NULL_TOKEN
             else:
                 address = effective_address(inst, station.left)
-                size = ACCESS_SIZE[inst.opcode]
+                size = inst.opcode.access_size
                 raw = self._load_with_forwarding(
                     address, size, inst.lsid, store_buffer)
-                result = truncate_load(raw, size,
-                                       inst.opcode in SIGNED_LOADS)
+                result = truncate_load(raw, size, inst.opcode.sign_extends)
             for target in inst.targets:
                 deliver(target, result)
 
@@ -262,12 +265,10 @@ class FunctionalSim:
                 guard += 1
                 if guard > 100_000:
                     raise SimError(f"block {block.name}: token storm")
-                slot, token, kind = worklist.pop()
+                slot, token, attr = worklist.pop()
                 if slot not in stations:
                     raise SimError(f"token for empty slot {slot}")
                 station = stations[slot]
-                attr = {OperandKind.LEFT: "left", OperandKind.RIGHT: "right",
-                        OperandKind.PRED: "pred"}[kind]
                 if getattr(station, attr) is not None:
                     raise SimError(
                         f"block {block.name}: slot {slot} received operand "

@@ -133,7 +133,9 @@ class DecodedBlock:
         self.dispatch_cycles = max(2, -(-fullest // 4))
 
 
-#: id(Program) -> {addr -> DecodedBlock}; evicted when the Program dies
+#: id(Program) -> {addr -> DecodedBlock}; evicted when the Program dies.
+#: Sound because a finished Program is not changed in place (its one
+#: validated memory image relies on the same rule; see ``isa.Program``).
 _DECODE_CACHE: Dict[int, Dict[int, "DecodedBlock"]] = {}
 
 
@@ -254,12 +256,12 @@ class TripsProcessor:
         :class:`~repro.sampling.checkpoint.ArchCheckpoint` instead of the
         program entry: registers, memory and warm predictor/cache state
         are overwritten and the first fetch targets the checkpoint PC."""
-        program.validate()
+        image = program.memory_image()      # validated once per program
         self.program = program
         self.config = config
         self.cycle = 0
         self.memory = memory if memory is not None else BackingStore()
-        self.memory.load_image(program.memory_image())
+        self.memory.load_image(image)
         self.regs: List[int] = [0] * NUM_ARCH_REGS
         for reg, value in program.initial_regs.items():
             self.regs[reg] = value & (2**64 - 1)
@@ -408,7 +410,8 @@ class TripsProcessor:
             step_core()
             if sysmem is not None:
                 sysmem.step()
-                self.poll_sysmem()
+                if sysmem.responses_waiting:
+                    self.poll_sysmem()
             if tel is not None:
                 tel.record_cycle(self.cycle)
             self.cycle += 1

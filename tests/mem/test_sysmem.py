@@ -132,6 +132,28 @@ class TestSecondaryMemory:
             touched = [mt.index for mt in sysmem.mts if mt.misses]
             assert touched == list(banks)
 
+    def test_idle_cycles_advance_the_clocks(self):
+        """The fast engine does not step a cycle with nothing to move,
+        but its clocks advance as if it had: after idle stretches,
+        requests are answered on the same cycles, with the same OCN
+        queueing, as under the full-scan engine, which steps them all."""
+        from repro.uarch.config import TripsConfig
+
+        runs = []
+        for fast in (True, False):
+            sysmem = SecondaryMemory(config=TripsConfig(fast_path=fast))
+            log = []
+            for idle in (0, 37, 5, 400):
+                for _ in range(idle):
+                    sysmem.step()
+                assert sysmem.ocn.cycle_count == sysmem.cycle
+                sysmem.request(idle % 4, 0x100000 + 64 * idle, False,
+                               meta=idle)
+                log.append((drain(sysmem, idle % 4), sysmem.cycle))
+            log.append(sysmem.ocn.stats)
+            runs.append(log)
+        assert runs[0] == runs[1]
+
     def test_dma_copy_moves_bytes(self):
         backing = BackingStore()
         backing.write_bytes(0x1000, bytes(range(100)))
