@@ -10,6 +10,12 @@ processor 0 owns OCN ports 0-3, processor 1 ports 4-7, and
 the same per-cycle sequence a lone core runs, so a core behaves the same
 alone or on the chip.
 
+The chip owns its cores and the shared memory system.  Neither holds the
+other: a line request carries its DT's response callback, which does not
+hold the core, and the core that polls its ports passes itself to each
+response (see :mod:`repro.uarch.proc`), so dropping the chip frees both
+cores at once.
+
 Inter-processor communication happens exactly as on the silicon: through
 memory (stores become visible at block commit; there is no inter-core
 forwarding path) or through programmed DMA transfers between physical

@@ -14,7 +14,8 @@ basic block when it would exceed an ISA constraint (128 instructions,
 Materialization performs dead-code elimination from the sinks, expands
 fanout (``mov`` trees) for producers with more consumers than their target
 fields allow, compacts LSIDs, schedules instructions onto the ET grid, and
-emits a validated :class:`repro.isa.TripsBlock`.
+emits a :class:`repro.isa.TripsBlock`, which the program's image
+validates.
 """
 
 from __future__ import annotations

@@ -1,9 +1,15 @@
-"""Materialize a :class:`BlockDag` into a validated :class:`TripsBlock`.
+"""Materialize a :class:`BlockDag` into a :class:`TripsBlock`.
 
 Steps: dead-code elimination from the block's sinks, fanout-tree expansion
 (balanced ``mov`` trees wherever a producer has more consumers than its
 target fields), LSID compaction, spatial scheduling, header slot
 assignment, and instruction emission.
+
+The block is not validated here: ``ProgramBuilder.finish`` validates
+every block once, as it builds the program's image, before any
+simulator can load it.  The one caller that must know at once, the
+terminator attempt in ``lower._form_blocks``, validates its block itself
+and appends it ``validated=True``, so the image does not check it again.
 """
 
 from __future__ import annotations
@@ -53,7 +59,6 @@ def materialize(dag: BlockDag, name: str) -> TripsBlock:
     for node in body_nodes:
         block.body[slots[node.uid]] = _emit(node, endpoints, slots,
                                             write_slots)
-    block.validate()
     return block
 
 

@@ -172,11 +172,14 @@ def _form_blocks(cfg_block: CfgBlock, live_pair, var_regs, array_addrs,
         label = cont
         dag = fresh_dag()
 
-    # Terminator; if it doesn't fit, it gets a block of its own.
+    # Terminator; if it doesn't fit, it gets a block of its own.  Only
+    # this attempt validates its block here, since a BlockError is what
+    # splits it; the program's image validates every other block.
     snap = dag.snapshot()
     try:
         _close(dag, var_regs, live_out, cfg_block.term)
         block = materialize(dag, label)
+        block.validate()
     except (_SplitNeeded, CompileError, BlockError):
         dag.rollback(snap)
         dag.writes.clear()
@@ -187,8 +190,9 @@ def _form_blocks(cfg_block: CfgBlock, live_pair, var_regs, array_addrs,
         label = cont
         dag = fresh_dag()
         _close(dag, var_regs, live_out, cfg_block.term)
-        block = materialize(dag, label)
-    builder.append(block, label=label)
+        builder.append(materialize(dag, label), label=label)
+    else:
+        builder.append(block, label=label, validated=True)
 
 
 def _suffix_uses(stmts: Sequence[Stmt], cfg_block: CfgBlock) -> List[Set[str]]:

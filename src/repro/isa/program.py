@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Container, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .block import CHUNK_BYTES, BlockError, TripsBlock
 
@@ -80,25 +80,31 @@ class Program:
         the assembler set it after ``finish``.  The image is shared, so
         it is returned read-only.
         """
-        image = self._image
-        if image is None:
-            image = {}
-            for addr, block in sorted(self.blocks.items()):
-                block.validate()
-                for slot in block.branches():
-                    inst = block.body[slot]
-                    if inst.opcode.mnemonic in ("bro", "callo"):
-                        tgt = addr + inst.offset
-                        if tgt != EXIT_ADDRESS and tgt not in self.blocks:
-                            raise ProgramError(
-                                f"block {block.name} at {addr:#x}: branch "
-                                f"to {tgt:#x} which holds no block")
-                image[addr] = block.encode()
-            image.update(self.data)
-            self._image = image
+        if self._image is None:
+            self._build_image(())
         if self.entry != EXIT_ADDRESS and self.entry not in self.blocks:
             raise ProgramError(f"entry {self.entry:#x} holds no block")
-        return MappingProxyType(image)
+        return MappingProxyType(self._image)
+
+    def _build_image(self, validated: Container[int]) -> None:
+        """Build the image, validating every block but those at the
+        ``validated`` addresses (:meth:`ProgramBuilder.finish` passes the
+        blocks their producer validated as it formed them)."""
+        image = {}
+        for addr, block in sorted(self.blocks.items()):
+            if addr not in validated:
+                block.validate()
+            for slot in block.branches():
+                inst = block.body[slot]
+                if inst.opcode.mnemonic in ("bro", "callo"):
+                    tgt = addr + inst.offset
+                    if tgt != EXIT_ADDRESS and tgt not in self.blocks:
+                        raise ProgramError(
+                            f"block {block.name} at {addr:#x}: branch "
+                            f"to {tgt:#x} which holds no block")
+            image[addr] = block.encode()
+        image.update(self.data)
+        self._image = image
 
     def static_instruction_count(self) -> int:
         """Total static instructions including header reads/writes."""
@@ -128,9 +134,18 @@ class ProgramBuilder:
         self._next = base
         self._data_next = data_base
         self.program = Program(entry=base)
+        #: addresses of blocks appended ``validated=True``
+        self._validated: set = set()
 
-    def append(self, block: TripsBlock, label: Optional[str] = None) -> int:
-        """Place ``block`` at the next free code address; returns address."""
+    def append(self, block: TripsBlock, label: Optional[str] = None,
+               validated: bool = False) -> int:
+        """Place ``block`` at the next free code address; returns address.
+
+        ``validated=True`` says the caller has validated ``block`` (the
+        compiler does when a BlockError would make it split the block)
+        and changes no more than its branch offsets, which
+        :meth:`finish` resolves and checks; the image then does not
+        validate it again."""
         addr = self._next
         if label:
             if label in self.program.labels:
@@ -139,6 +154,8 @@ class ProgramBuilder:
         self._pending_validate(block)
         self.program.blocks[addr] = block
         self.program._image = None
+        if validated:
+            self._validated.add(addr)
         self._next += block.size_bytes
         return addr
 
@@ -173,7 +190,8 @@ class ProgramBuilder:
         """Resolve symbolic branch targets, validate, and return the program.
 
         Validating builds the program's memory image, which every
-        simulator of the finished program then reuses.
+        simulator of the finished program then reuses; it validates each
+        block not appended ``validated=True``.
         """
         for addr, block in self.program.blocks.items():
             for slot in block.branches():
@@ -189,5 +207,6 @@ class ProgramBuilder:
                     raise ProgramError(f"undefined label {label!r}")
                 inst.offset = target - addr
                 inst.validate()
+        self.program._build_image(self._validated)
         self.program.validate()
         return self.program

@@ -50,7 +50,11 @@ class BackingStore:
         if size <= 0:
             raise ValueError("size must be positive")
         data = (value & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
-        self.write_bytes(address, data)
+        off = address & PAGE_MASK
+        if off + size <= PAGE_SIZE:
+            self._page(address)[off:off + size] = data
+        else:
+            self.write_bytes(address, data)
 
     def read_bytes(self, address: int, size: int) -> bytes:
         out = bytearray()

@@ -27,7 +27,6 @@ ordinary full simulation.
 
 from __future__ import annotations
 
-import gc
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -251,13 +250,9 @@ def run_sampled_program(program, config: TripsConfig = PROTOTYPE,
         if ff.halted:
             break
         ckpt = take_checkpoint(ff)
-        # The last window's core is a reference cycle (its tiles point
-        # back at it) that holds a memory image and warm predictor
-        # tables: collect it before building the next one, so memory
-        # holds one window's core, not however many the collector's
-        # schedule lets pile up.
+        # drop the last window's core before building the next, so
+        # memory holds one window's core at a time
         proc = None
-        gc.collect()
         proc = TripsProcessor(program, config, telemetry=telemetry,
                               checkpoint=ckpt)
         warm_target = start - ff.stats.blocks

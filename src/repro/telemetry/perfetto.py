@@ -82,7 +82,7 @@ def _window_counters(recorder: TelemetryRecorder) -> List[Dict]:
     short runs get one sample per cycle and long runs stay ~100 samples
     per track regardless of length.
     """
-    cycles = recorder.proc.cycle if recorder.proc is not None else 0
+    cycles = recorder.cycles
     if cycles <= 0:
         return []
     window = max(1, -(-cycles // _WINDOW_TARGET))

@@ -270,10 +270,16 @@ class TelemetryRecorder:
     chip each core carries its own recorder; the shared memory system's
     OCN/DRAM probes attach to whichever recorder claims them first
     (core 0's, in construction order).
+
+    The recorder does not hold its core: the core passes itself to
+    :meth:`record_cycle` and :meth:`account_skip`, and ``cycles`` keeps
+    the one figure the summary needs from it, the core's clock after
+    the last cycle charged.
     """
 
     def __init__(self):
-        self.proc = None
+        #: cycles charged so far: the core's clock once a run stops
+        self.cycles = 0
         self.timelines: Dict[str, _Timeline] = {}
         #: (tile, timeline, drains commits): RTs and DTs do, ETs do not
         self._tile_runs: List[Tuple[object, _Timeline, bool]] = []
@@ -288,7 +294,6 @@ class TelemetryRecorder:
 
     # -- wiring ---------------------------------------------------------
     def attach(self, proc) -> None:
-        self.proc = proc
         self.blocks = proc.block_events
         names_tiles = [(f"E{i}", et, False) for i, et in enumerate(proc.ets)]
         names_tiles += [(f"R{b}", rt, True) for b, rt in enumerate(proc.rts)]
@@ -312,14 +317,16 @@ class TelemetryRecorder:
                 self._owns_mem = True
 
     # -- per-cycle tile accounting --------------------------------------
-    def record_cycle(self, t: int) -> None:
-        """Classify every tile's state for stepped cycle ``t``."""
+    def record_cycle(self, proc, t: int) -> None:
+        """Classify every tile's state for ``proc``'s stepped cycle
+        ``t``."""
         t1 = t + 1
         for tile, tl, _ in self._tile_runs:
             tl.add(tile.tel_state(t), t, t1)
-        self._gt_tl.add(self.proc.tel_gt_state(t), t, t1)
+        self._gt_tl.add(proc.tel_gt_state(t), t, t1)
+        self.cycles = t1
 
-    def account_skip(self, t0: int, t1: int) -> None:
+    def account_skip(self, proc, t0: int, t1: int) -> None:
         """Charge a fast-forwarded stretch ``[t0, t1)`` with the stepped
         classifier.
 
@@ -335,13 +342,13 @@ class TelemetryRecorder:
         for tile, tl, commits in self._tile_runs:
             _charge(tl, tile.tel_state, t0, t1,
                     tile.commit_free_t if commits else t1)
-        proc = self.proc
         _charge(self._gt_tl, proc.tel_gt_state, t0, t1,
                 proc.dispatch_pipe_free - proc.fetch_latency)
+        self.cycles = t1
 
     # -- summary ---------------------------------------------------------
     def summary(self) -> TelemetrySummary:
-        cycles = self.proc.cycle if self.proc is not None else 0
+        cycles = self.cycles
         tiles = {name: dict(sorted(tl.totals().items()))
                  for name, tl in self.timelines.items()}
         stall_totals = {state: 0 for state in STALL_STATES}

@@ -123,7 +123,21 @@ class MeshStats:
 
 
 class WormholeMesh:
-    """A rows x cols mesh of 5-ported routers."""
+    """A rows x cols mesh of 5-ported routers.
+
+    An active-set mesh with one VC and one lane per output port (the
+    OPN's shape) is built as :class:`_SingleLaneMesh`, whose ``step`` is
+    :meth:`_step_single`.  A class, not a bound method stored on the
+    instance: that would be a reference cycle, and the mesh — with every
+    core that owns one — could only be freed by a full collection.
+    """
+
+    def __new__(cls, rows: int, cols: int, vcs: int = 1,
+                queue_depth: int = 2, lanes: int = 1,
+                active_set: bool = True):
+        if cls is WormholeMesh and active_set and vcs == 1 and lanes == 1:
+            cls = _SingleLaneMesh
+        return super().__new__(cls)
 
     def __init__(self, rows: int, cols: int, vcs: int = 1,
                  queue_depth: int = 2, lanes: int = 1,
@@ -178,9 +192,6 @@ class WormholeMesh:
         self.stats = MeshStats()
         #: optional :class:`repro.telemetry.recorder.MeshTelemetry` sink
         self.telemetry = None
-        if active_set and vcs == 1 and lanes == 1:
-            # the OPN's shape gets its own arbiter (see _step_single)
-            self.step = self._step_single
 
     # ------------------------------------------------------------------
     def inject(self, node: Coord, packet: Packet) -> bool:
@@ -479,3 +490,10 @@ class WormholeMesh:
                 if into is not None:
                     tel.note_depth(target, now + 1, occupancy[target])
         self.cycle_count = now + 1
+
+
+class _SingleLaneMesh(WormholeMesh):
+    """An active-set mesh with one VC and one lane per output port (the
+    OPN's shape): it steps with its own arbiter."""
+
+    step = WormholeMesh._step_single

@@ -2,7 +2,9 @@
 
 import pytest
 
+import repro.compiler.lower as lower
 from repro.compiler import CompileError, compile_tir
+from repro.isa import BlockError, TripsBlock
 from repro.tir import (
     Array,
     Assign,
@@ -225,6 +227,48 @@ class TestBlockStructure:
             compiled = compile_tir(prog, level=level)
             for blk in compiled.program.blocks.values():
                 blk.validate()    # would raise on any violation
+
+    @staticmethod
+    def _split_program():
+        # 80 stores: blocks split mid-statement-list and at the terminator
+        return TirProgram("t", arrays={"a": Array("i64", [0] * 80)},
+                          body=[Store("a", Const(i), Const(i * i))
+                                for i in range(80)],
+                          outputs=["a"])
+
+    def test_each_block_validated_once(self, monkeypatch):
+        """The terminator attempt validates its block, since a failure
+        splits it; the image validates every other block, and none
+        twice."""
+        checked = []
+        real = TripsBlock.validate
+
+        def validate(block):
+            checked.append(id(block))
+            real(block)
+
+        monkeypatch.setattr(TripsBlock, "validate", validate)
+        for level in ("tcc", "hand"):
+            checked.clear()
+            blocks = compile_tir(self._split_program(),
+                                 level=level).program.blocks.values()
+            assert len(blocks) >= 3
+            assert sorted(checked) == sorted(map(id, blocks))
+
+    def test_invalid_block_stops_the_compile(self, monkeypatch):
+        """A block formed without a check at formation still fails the
+        compile, when the program's image validates it."""
+        real = lower.materialize
+
+        def without_branches(dag, name):
+            block = real(dag, name)
+            for slot in block.branches():
+                del block.body[slot]
+            return block
+
+        monkeypatch.setattr(lower, "materialize", without_branches)
+        with pytest.raises(BlockError, match="no branch"):
+            compile_tir(self._split_program())
 
     def test_too_many_scalars_rejected(self):
         body = [Assign(f"v{i}", Const(i)) for i in range(130)]

@@ -139,11 +139,18 @@ def test_telemetry_summary_divergence_is_reported(monkeypatch):
     DT cycle moved between states on the fast engine is a divergence
     although ProcStats agree.  ``fast_forward`` differs on every run
     that skips, and is left out."""
+    real_attach = TelemetryRecorder.attach
     real_summary = TelemetryRecorder.summary
+    fast = []                   # the recorders of fast-engine cores
+
+    def attach(recorder, proc):
+        real_attach(recorder, proc)
+        if proc.config.fast_path:
+            fast.append(recorder)
 
     def summary(recorder):
         out = real_summary(recorder)
-        if recorder.proc.config.fast_path:
+        if any(recorder is r for r in fast):
             dt = out.tiles["D1"]
             dt["cache_miss"] = dt.get("cache_miss", 0) + 1
             dt["idle"] -= 1
@@ -151,6 +158,7 @@ def test_telemetry_summary_divergence_is_reported(monkeypatch):
 
     prog = generate(SEED)
     assert check_engines(prog, nuca=True, telemetry=True) == []
+    monkeypatch.setattr(TelemetryRecorder, "attach", attach)
     monkeypatch.setattr(TelemetryRecorder, "summary", summary)
     got = check_engines(prog, nuca=True, telemetry=True)
     assert _stages(got) == ["engines:fast+nuca+telemetry"]

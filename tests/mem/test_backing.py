@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.mem.backing import PAGE_SHIFT, BackingStore
+from repro.mem.backing import PAGE_SHIFT, PAGE_SIZE, BackingStore
 
 
 class TestBackingStore:
@@ -51,3 +51,20 @@ class TestBackingStore:
         mem = BackingStore()
         mem.write(addr, value, size)
         assert mem.read(addr, size) == value & ((1 << (8 * size)) - 1)
+
+    @given(st.integers(0, 300),
+           st.one_of(st.integers(0, PAGE_SIZE - 8),
+                     st.integers(PAGE_SIZE - 7, PAGE_SIZE - 1)),
+           st.integers(-2**80, 2**80), st.sampled_from([1, 2, 4, 8]))
+    def test_write_matches_write_bytes(self, page_no, offset, value, size):
+        """``write``'s one-page fast path and its fall-back across a page
+        boundary store exactly what ``write_bytes`` does, over bytes
+        already there, for values wider than the access."""
+        address = (page_no << PAGE_SHIFT) + offset
+        fast, ref = BackingStore(), BackingStore()
+        for mem in (fast, ref):
+            mem.write_bytes(max(0, address - 8), bytes(range(1, 25)))
+        fast.write(address, value, size)
+        ref.write_bytes(address, (value & ((1 << (8 * size)) - 1))
+                        .to_bytes(size, "little"))
+        assert list(fast.touched_pages()) == list(ref.touched_pages())

@@ -100,8 +100,8 @@ def test_wheel_wakes_deferred_load_on_time(monkeypatch):
     wakes = []
     next_work_t = DataTile.next_work_t
 
-    def spy(dt, t):
-        work = next_work_t(dt, t)
+    def spy(dt, proc, t):
+        work = next_work_t(dt, proc, t)
         if work is not None and work > t:
             wakes.append(work)
         return work
